@@ -13,7 +13,8 @@ linearize           linearizing change for a polynomial involution
 Exit codes: 0 success, 1 mathematical failure (a check that does not hold,
 an unattainable request), 2 usage error.  ``--json`` output is schema-stable
 and round-trips through the documented formats.  The default truncation
-degree is 7, overridable with the REVEQUIV_DEGREE environment variable.
+degree is 7, overridable with the REVEQUIV_DEGREE environment variable; a
+degree below 1 (below 2 for ``oracle``) is a usage error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import List
 
 from .exactalg import Mat4
 from .groups import generate_closure, is_dihedral, sign_assignment
@@ -40,6 +42,7 @@ from .normalform import (
 )
 from .solver import (
     R0,
+    SUPPORTED_N,
     DegenerateResonance,
     LinearPart,
     UnsupportedGroupOrder,
@@ -72,6 +75,14 @@ class UsageError(ValueError):
     pass
 
 
+def _degree(args, minimum: int = 1) -> int:
+    """The truncation degree: ``--degree``, else REVEQUIV_DEGREE, else 7."""
+    degree = args.degree if args.degree is not None else default_degree()
+    if degree < minimum:
+        raise UsageError(f"degree must be at least {minimum}, got {degree}")
+    return degree
+
+
 # ---------------------------------------------------------------------------
 # builtin involution registry
 # ---------------------------------------------------------------------------
@@ -99,6 +110,18 @@ def _builtin_registry():
 BUILTIN_INVOLUTIONS = _builtin_registry()
 
 
+# what decoding a malformed JSON input file can raise
+_DECODE_ERRORS = (ValueError, TypeError, KeyError, ZeroDivisionError)
+
+
+def _read(path: str, what: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read().strip()
+    except OSError as e:
+        raise UsageError(f"cannot read {what} file {path!r}: {e}")
+
+
 def load_involution(spec: str) -> Mat4:
     """A 4x4 rational matrix from ``builtin:NAME`` or a file.
 
@@ -112,50 +135,47 @@ def load_involution(spec: str) -> Mat4:
         except KeyError:
             known = ", ".join(sorted(BUILTIN_INVOLUTIONS))
             raise UsageError(f"unknown builtin involution {name!r}; known: {known}")
-    try:
-        text = open(spec).read()
-    except OSError as e:
-        raise UsageError(f"cannot read involution file {spec!r}: {e}")
-    stripped = text.strip()
-    if stripped.startswith("["):
-        return Mat4.from_json(json.loads(stripped))
-    rows = [line.split() for line in stripped.splitlines() if line.strip()]
+    text = _read(spec, "involution")
+    if text.startswith("["):
+        try:
+            return Mat4.from_json(json.loads(text))
+        except _DECODE_ERRORS as e:
+            raise UsageError(f"bad involution file {spec!r}: {e!r}")
+    rows = [line.split() for line in text.splitlines() if line.strip()]
     if len(rows) != 4 or any(len(r) != 4 for r in rows):
         raise UsageError(f"involution file {spec!r} must contain a 4x4 matrix")
     try:
         return Mat4([[Fraction(x) for x in r] for r in rows])
-    except ValueError as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise UsageError(f"bad matrix entry in {spec!r}: {e}")
 
 
-def load_field(path: str, max_degree: int) -> PolyVF:
+def _load_components(cls, path: str, max_degree: int, what: str):
+    """A PolyVF or PolyMap from a file: the JSON emitted by ``--json``, or
+    one ``lhs = polynomial`` line per component."""
+    text = _read(path, what)
     try:
-        text = open(path).read()
-    except OSError as e:
-        raise UsageError(f"cannot read field file {path!r}: {e}")
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        return PolyVF.from_json(json.loads(stripped))
-    return PolyVF.parse(text, max_degree)
+        if text.startswith("{"):
+            return cls.from_json(json.loads(text))
+        return cls.parse(text, max_degree)
+    except FieldFormatError:
+        raise
+    except _DECODE_ERRORS as e:
+        raise FieldFormatError(f"bad {what} file {path!r}: {e!r}")
+
+
+def load_field(path: str, max_degree: int) -> PolyVF:
+    return _load_components(PolyVF, path, max_degree, "field")
 
 
 def load_map(path: str, max_degree: int) -> PolyMap:
-    try:
-        text = open(path).read()
-    except OSError as e:
-        raise UsageError(f"cannot read map file {path!r}: {e}")
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        obj = json.loads(stripped)
-        vf = PolyVF.from_json(obj)
-        return PolyMap(vf.components, vf.max_degree)
-    return PolyMap.parse(text, max_degree)
+    return _load_components(PolyMap, path, max_degree, "map")
 
 
 def _rat(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise UsageError(f"not a rational number: {text!r}")
 
 
@@ -206,6 +226,16 @@ def _matrix_text(m: Mat4) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _class_labels(classes, n: int) -> List[str]:
+    """Xi<j> for a class of the n = 4 case that generates one of the six
+    dihedral groups, class<index> otherwise."""
+    labels = []
+    for idx, c in enumerate(classes, start=1):
+        j = xi_index(c.members[0].s) if n == 4 else None
+        labels.append(f"Xi{j}" if j is not None else f"class{idx}")
+    return labels
+
+
 def cmd_solve_involutions(args) -> int:
     lin = LinearPart(_rat(args.alpha), _rat(args.beta))
     include = not args.exclude_degenerate
@@ -213,14 +243,7 @@ def cmd_solve_involutions(args) -> int:
     nondeg = [s for s in sols if not s.degenerate]
     classes = partition_by_group(nondeg)
     class_of = {}
-    for idx, c in enumerate(classes, start=1):
-        label = None
-        if args.n == 4:
-            j = xi_index(c.members[0].s)
-            if j is not None:
-                label = f"Xi{j}"
-        if label is None:
-            label = f"class{idx}"
+    for c, label in zip(classes, _class_labels(classes, args.n)):
         for m in c.members:
             class_of[m.s] = label
     if args.json:
@@ -252,16 +275,9 @@ def cmd_classify(args) -> int:
     classes = partition_by_group(sols)
     a_mat = lin.matrix()
     report = []
-    for idx, c in enumerate(classes, start=1):
+    for c, label in zip(classes, _class_labels(classes, args.n)):
         g = generate_closure([R0, c.members[0].s])
         rho = sign_assignment(g, a_mat)
-        label = None
-        if args.n == 4:
-            j = xi_index(c.members[0].s)
-            if j is not None:
-                label = f"Xi{j}"
-        if label is None:
-            label = f"class{idx}"
         report.append(
             {
                 "class_id": label,
@@ -286,7 +302,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_check(args) -> int:
-    degree = args.degree if args.degree is not None else default_degree()
+    degree = _degree(args)
     x = load_field(args.field, degree)
     phi = load_involution(args.involution)
     rep = check_symmetry(x, phi, args.sign)
@@ -316,7 +332,7 @@ def cmd_check(args) -> int:
 
 def cmd_normal_form(args) -> int:
     spec = _resonance(args)
-    degree = args.degree if args.degree is not None else default_degree()
+    degree = _degree(args)
     r = survival_analysis(spec, args.group, degree)
     if args.json:
         print(json.dumps(r.to_json(), indent=2))
@@ -345,7 +361,8 @@ def cmd_normal_form(args) -> int:
 
 def cmd_oracle(args) -> int:
     spec = _resonance(args)
-    degree = args.degree if args.degree is not None else default_degree()
+    # the oracle starts at degree 2: below it there is nothing to report
+    degree = _degree(args, minimum=2)
     res = brute_force_kernel(spec, args.group, degree)
     if args.json:
         print(json.dumps(res.to_json(), indent=2))
@@ -358,7 +375,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_normalize(args) -> int:
     spec = _resonance(args)
-    degree = args.degree if args.degree is not None else default_degree()
+    degree = _degree(args)
     x = load_field(args.field, degree)
     try:
         nf, change = belitskii_normalize(x, spec, degree)
@@ -380,7 +397,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_linearize(args) -> int:
-    degree = args.degree if args.degree is not None else default_degree()
+    degree = _degree(args)
     phi = load_map(args.map, degree)
     try:
         h = linearize_involution(phi, degree)
@@ -440,14 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
             g.add_argument("--latex", action="store_true")
 
     sp = sub.add_parser("solve-involutions", help="enumerate reversing involutions")
-    sp.add_argument("--n", type=int, required=True, choices=(2, 3, 4, 6))
+    sp.add_argument("--n", type=int, required=True, choices=SUPPORTED_N)
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--beta", required=True)
-    sp.add_argument(
-        "--include-degenerate",
-        action="store_true",
-        help="include degenerate solutions (default: included)",
-    )
     sp.add_argument(
         "--exclude-degenerate",
         action="store_true",
@@ -457,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_solve_involutions)
 
     sp = sub.add_parser("classify", help="partition solutions by generated group")
-    sp.add_argument("--n", type=int, required=True, choices=(2, 3, 4, 6))
+    sp.add_argument("--n", type=int, required=True, choices=SUPPORTED_N)
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--beta", required=True)
     add_fmt(sp, latex=False)
@@ -514,8 +526,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    if not hasattr(args, "latex"):
-        args.latex = False
     try:
         return args.func(args)
     except UsageError as e:

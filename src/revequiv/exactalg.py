@@ -295,12 +295,6 @@ class Mat4:
     def transpose(self) -> "Mat4":
         return Mat4([[self.rows[j][i] for j in range(4)] for i in range(4)])
 
-    def apply(self, v: Sequence[ScalarLike]) -> tuple:
-        v = [scalar(x) for x in v]
-        return tuple(
-            sum((self.rows[i][j] * v[j] for j in range(4)), ZERO) for i in range(4)
-        )
-
     def det(self) -> AlgScalar:
         def det2(a, b, c, d):
             return a * d - b * c
@@ -346,11 +340,6 @@ class Mat4:
     @staticmethod
     def from_json(obj) -> "Mat4":
         return Mat4([[AlgScalar.from_json(x) for x in r] for r in obj])
-
-
-def mat_mul(x: Mat4, y: Mat4) -> Mat4:
-    """Exact matrix product; (sqrt(d))^2 collapses back to d."""
-    return x * y
 
 
 def is_involution(s: Mat4) -> bool:

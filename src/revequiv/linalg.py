@@ -112,7 +112,3 @@ def solve(rows: List[Row], rhs: Row) -> Optional[Row]:
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
     return x
-
-
-def rank(rows: List[Row]) -> int:
-    return len(rref(rows)[1])

@@ -25,7 +25,7 @@ from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .exactalg import Mat4, scalar
+from .exactalg import Mat4
 from .solver import R0, linear_part_matrix
 from .vecfield import Poly, PolyMap, PolyVF, check_symmetry, conjugate
 
@@ -526,18 +526,6 @@ def _blocks(degree: int) -> List[_Block]:
     ]
 
 
-def _field_to_block_vector(v: PolyVF, block: _Block, basis_index) -> List[Fraction]:
-    """Coordinates of a field in a block basis; raises if it leaks outside."""
-    out = [Fraction(0)] * len(basis_index)
-    for i in range(4):
-        for e, c in v.components[i].terms.items():
-            key = (i, e)
-            if key not in basis_index:
-                raise ValueError(f"operator leaks outside block: {key}")
-            out[basis_index[key]] = c.as_rational()
-    return out
-
-
 def _integer_entries(m: Mat4) -> List[List[int]]:
     """The entries of m as ints; raises ValueError unless all are integers."""
     out = []
@@ -677,11 +665,11 @@ def brute_force_kernel(
                 + _defect_block(block, s_real, sign)
             )
             for v in linalg.nullspace(rows, ncols=len(basis)):
-                comps = [Poly() for _ in range(4)]
+                terms = [{} for _ in range(4)]
                 for (comp, e), coef in zip(basis, v):
                     if coef:
-                        comps[comp] = comps[comp] + Poly.monomial(e, coef)
-                vecs.append(PolyVF(comps, k))
+                        terms[comp][e] = coef
+                vecs.append(PolyVF([Poly(t) for t in terms], k))
                 dim += 1
         dims[k] = dim
         bases[k] = vecs
@@ -731,35 +719,25 @@ def belitskii_normalize(
         xk = current.homogeneous_part(k)
         if xk.is_zero():
             continue
-        blocks_data = _normalization_spaces_from_mats(spec, k, detected)
-        u_comps = [Poly() for _ in range(4)]
-        for block, (basis, equi_basis, kern_basis, la_cols) in zip(
-            _blocks(k), blocks_data
+        u_terms = [{} for _ in range(4)]
+        for block, (basis, equi_basis, n_kern, rows) in zip(
+            _blocks(k), _normalization_spaces(spec.p, spec.q, k, detected)
         ):
-            index = {key: i for i, key in enumerate(basis)}
-            target = _field_to_block_vector(
-                _restrict_to_block(xk, block), block, index
-            )
-            if all(t == 0 for t in target):
+            target = [xk.components[c].coefficient(e).as_rational() for c, e in basis]
+            if not any(target):
                 continue
-            # columns: kernel part first so that already-normalized input
-            # solves with a zero change (idempotence)
-            cols = [list(v) for v in kern_basis] + [list(c) for c in la_cols]
-            rows = [
-                [cols[c][r] for c in range(len(cols))] for r in range(len(basis))
-            ]
             sol = linalg.solve(rows, target)
             if sol is None:
                 raise NormalizationError(
                     f"homological splitting failed at degree {k} (block {block})"
                 )
-            ucoef = sol[len(kern_basis):]
-            for coefs, uc in zip(equi_basis, ucoef):
+            for coefs, uc in zip(equi_basis, sol[n_kern:]):
                 if uc == 0:
                     continue
                 for (comp, e), val in zip(basis, coefs):
                     if val:
-                        u_comps[comp] = u_comps[comp] + Poly.monomial(e, uc * val)
+                        u_terms[comp][e] = u_terms[comp].get(e, 0) + uc * val
+        u_comps = [Poly(t) for t in u_terms]
         if all(c.is_zero() for c in u_comps):
             continue
         # h = Id - u adds -L_A(u) at degree k, cancelling the image part
@@ -771,74 +749,34 @@ def belitskii_normalize(
     return current, change
 
 
-def _restrict_to_block(v: PolyVF, block: _Block) -> PolyVF:
-    comps = []
-    lo = 0 if block.pair == 0 else 2
-    for i in range(4):
-        if i not in (lo, lo + 1):
-            comps.append(Poly())
-            continue
-        comps.append(
-            Poly(
-                {
-                    e: c
-                    for e, c in v.components[i].terms.items()
-                    if e[0] + e[1] == block.dx
-                }
-            )
-        )
-    return PolyVF(comps, v.max_degree)
-
-
 @lru_cache(maxsize=None)
-def _normalization_spaces_cached(p: int, q: int, k: int, sym_key: tuple):
-    spec = ResonanceSpec(p, q)
-    syms = [
-        Mat4([[Fraction(n, d) for (n, d) in row] for row in s]) for s in sym_key
-    ]
-    return _normalization_spaces_build(spec, k, syms)
-
-
-def _normalization_spaces_from_mats(spec: ResonanceSpec, k: int, syms):
-    sym_key = tuple(
-        tuple(
-            tuple(
-                (s[i, j].as_rational().numerator, s[i, j].as_rational().denominator)
-                for j in range(4)
-            )
-            for i in range(4)
-        )
-        for s in syms
-    )
-    return _normalization_spaces_cached(spec.p, spec.q, k, sym_key)
-
-
-def _normalization_spaces_build(spec: ResonanceSpec, k: int, syms):
-    a = spec.linear_matrix()
+def _normalization_spaces(p: int, q: int, k: int, detected: Tuple[Mat4, ...]):
+    """Per block of degree k: its basis, a basis of the fields equivariant
+    under every detected symmetry, the number of kernel columns, and the
+    matrix whose columns are the basis of ker L_{A^T} on the fields
+    reversible under them, followed by the L_A images of the equivariant
+    basis.  The kernel columns come first, so that already-normalized input
+    solves with a zero change (idempotence)."""
+    a = ResonanceSpec(p, q).linear_matrix()
     a_t = a.transpose()
     blocks_data = []
     for block in _blocks(k):
         basis = block.basis()
         nb = len(basis)
         la_rows = _homological_block(block, a)
-        lat_rows = _homological_block(block, a_t)
         equi_rows = []
         rev_rows = []
-        for s_mat in syms:
+        for s_mat in detected:
             equi_rows += _defect_block(block, s_mat, +1)
             rev_rows += _defect_block(block, s_mat, -1)
-        equi_basis = (
-            linalg.nullspace(equi_rows, ncols=nb)
-            if equi_rows
-            else [[Fraction(int(i == j)) for j in range(nb)] for i in range(nb)]
-        )
-        kern_basis = linalg.nullspace(lat_rows + rev_rows, ncols=nb)
-        la_cols = []
-        for v in equi_basis:
-            la_cols.append(
-                [sum(la_rows[r][c] * v[c] for c in range(nb)) for r in range(nb)]
-            )
-        blocks_data.append((basis, equi_basis, kern_basis, la_cols))
+        equi_basis = linalg.nullspace(equi_rows, ncols=nb)
+        kern_basis = linalg.nullspace(_homological_block(block, a_t) + rev_rows, ncols=nb)
+        cols = kern_basis + [
+            [sum(la_rows[r][c] * v[c] for c in range(nb)) for r in range(nb)]
+            for v in equi_basis
+        ]
+        rows = [[col[r] for col in cols] for r in range(nb)]
+        blocks_data.append((basis, equi_basis, len(kern_basis), rows))
     return blocks_data
 
 

@@ -2,8 +2,7 @@
 
 Sparse representation: a polynomial is a map exponent-tuple -> coefficient,
 with coefficients in Q or a quadratic field.  All compositions are truncated
-at an explicit degree; discarded monomials are counted in a watermark so
-formal-series computations stay reproducible.
+at an explicit degree.
 
 Variables are (x1, x2, y1, y2), indexed 0..3.
 """
@@ -78,10 +77,6 @@ class Poly:
 
     def truncated(self, max_degree: int) -> "Poly":
         return Poly({e: c for e, c in self.terms.items() if sum(e) <= max_degree})
-
-    def overflow_degree(self, max_degree: int) -> int:
-        """Highest degree present beyond max_degree (-1 if none)."""
-        return max((sum(e) for e in self.terms if sum(e) > max_degree), default=-1)
 
     def coefficient(self, e: Expo) -> AlgScalar:
         return self.terms.get(tuple(e), ZERO)
@@ -204,12 +199,15 @@ class Poly:
 
     @staticmethod
     def from_json(obj) -> "Poly":
-        return Poly(
-            {
-                tuple(t["exponents"]): AlgScalar.from_json(t["coefficient"])
-                for t in obj
-            }
-        )
+        terms = {}
+        for t in obj:
+            e = tuple(t["exponents"])
+            if len(e) != 4 or any(type(x) is not int or x < 0 for x in e):
+                raise FieldFormatError(
+                    f"exponents must be 4 nonnegative integers, got {t['exponents']!r}"
+                )
+            terms[e] = AlgScalar.from_json(t["coefficient"])
+        return Poly(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +246,10 @@ def parse_poly(text: str) -> Poly:
         elif coef_s == "-":
             coef = Fraction(-1)
         else:
-            coef = Fraction(coef_s)
+            try:
+                coef = Fraction(coef_s)
+            except ZeroDivisionError:
+                raise FieldFormatError(f"zero denominator in {chunk!r}") from None
         e = [0, 0, 0, 0]
         vs = m.group("vars") or ""
         for vm in re.finditer(r"(x1|x2|y1|y2)(?:\^(\d+))?", vs):
@@ -256,10 +257,6 @@ def parse_poly(text: str) -> Poly:
             e[i] += int(vm.group(2)) if vm.group(2) else 1
         out = out + Poly.monomial(tuple(e), coef)
     return out
-
-
-def format_poly(p: Poly) -> str:
-    return str(p)
 
 
 # ---------------------------------------------------------------------------
@@ -273,30 +270,32 @@ class SymmetryReport:
 
     ok: bool
     offending: Tuple[Tuple[int, Expo, AlgScalar], ...]  # (component, expo, value)
-    discarded_degree: int  # watermark of truncation overflow, -1 if none
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-class PolyVF:
-    """A polynomial vector field on R^4, graded by total degree."""
+class _Components:
+    """Four polynomial components over (x1, x2, y1, y2), truncated at
+    max_degree and immutable; the common part of PolyVF and PolyMap."""
 
     __slots__ = ("components", "max_degree")
+    # left-hand side of a component line in the text format: "dx1" or "x1"
+    _prefix = ""
 
     def __init__(self, components: Sequence[Poly], max_degree: int):
         comps = tuple(c.truncated(max_degree) for c in components)
         if len(comps) != 4:
-            raise ValueError("a vector field needs 4 components")
+            raise ValueError(f"a {type(self).__name__} needs 4 components")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "max_degree", max_degree)
 
     def __setattr__(self, name, value):
-        raise AttributeError("PolyVF is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def from_linear(m: Mat4, max_degree: int) -> "PolyVF":
-        return PolyVF(
+    @classmethod
+    def from_linear(cls, m: Mat4, max_degree: int):
+        return cls(
             [Poly.linear_form([m[i, j] for j in range(4)]) for i in range(4)],
             max_degree,
         )
@@ -313,6 +312,42 @@ class PolyVF:
                 for i in range(4)
             ]
         )
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.components == other.components
+
+    def __str__(self) -> str:
+        return "\n".join(
+            f"{self._prefix}{VARS[i]} = {self.components[i]}" for i in range(4)
+        )
+
+    @classmethod
+    def parse(cls, text: str, max_degree: int):
+        return cls(_parse_component_lines(text, cls._prefix), max_degree)
+
+    def to_json(self) -> dict:
+        return {
+            "max_degree": self.max_degree,
+            "components": [c.to_json() for c in self.components],
+        }
+
+    @classmethod
+    def from_json(cls, obj):
+        max_degree = obj["max_degree"]
+        if type(max_degree) is not int or max_degree < 0:
+            raise FieldFormatError(
+                f"max_degree must be a nonnegative integer, got {max_degree!r}"
+            )
+        return cls([Poly.from_json(c) for c in obj["components"]], max_degree)
+
+
+class PolyVF(_Components):
+    """A polynomial vector field on R^4, graded by total degree."""
+
+    __slots__ = ()
+    _prefix = "d"
 
     def nonlinear(self) -> "PolyVF":
         return PolyVF(
@@ -341,77 +376,23 @@ class PolyVF:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PolyVF):
-            return NotImplemented
-        return self.components == other.components
-
     def __hash__(self) -> int:
         return hash(self.components)
 
-    def __str__(self) -> str:
-        return "\n".join(
-            f"d{VARS[i]} = {self.components[i]}" for i in range(4)
-        )
 
-    def to_json(self) -> dict:
-        return {
-            "max_degree": self.max_degree,
-            "components": [c.to_json() for c in self.components],
-        }
-
-    @staticmethod
-    def from_json(obj) -> "PolyVF":
-        return PolyVF(
-            [Poly.from_json(c) for c in obj["components"]], obj["max_degree"]
-        )
-
-    @staticmethod
-    def parse(text: str, max_degree: int) -> "PolyVF":
-        comps = _parse_component_lines(text, prefix="d")
-        return PolyVF(comps, max_degree)
-
-
-class PolyMap:
+class PolyMap(_Components):
     """A polynomial map of R^4 with invertible linear part."""
 
-    __slots__ = ("components", "max_degree")
+    __slots__ = ()
 
     def __init__(self, components: Sequence[Poly], max_degree: int):
-        comps = tuple(c.truncated(max_degree) for c in components)
-        if len(comps) != 4:
-            raise ValueError("a map needs 4 components")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "max_degree", max_degree)
+        super().__init__(components, max_degree)
         if self.linear_part().det().is_zero():
             raise ValueError("map has singular linear part")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMap is immutable")
 
     @staticmethod
     def identity(max_degree: int) -> "PolyMap":
         return PolyMap([Poly.variable(i) for i in range(4)], max_degree)
-
-    @staticmethod
-    def from_linear(m: Mat4, max_degree: int) -> "PolyMap":
-        return PolyMap(
-            [Poly.linear_form([m[i, j] for j in range(4)]) for i in range(4)],
-            max_degree,
-        )
-
-    def linear_part(self) -> Mat4:
-        return Mat4(
-            [
-                [
-                    self.components[i].coefficient(
-                        tuple(1 if j == k else 0 for k in range(4))
-                    )
-                    for j in range(4)
-                ]
-                for i in range(4)
-            ]
-        )
 
     def compose(self, inner: "PolyMap") -> "PolyMap":
         """self after inner, truncated at max_degree."""
@@ -427,7 +408,7 @@ class PolyMap:
         lin_inv = _mat_inverse(lin)
         ident = [Poly.variable(i) for i in range(4)]
         higher = [
-            c - Poly.linear_form([self.linear_part()[i, j] for j in range(4)])
+            c - Poly.linear_form([lin[i, j] for j in range(4)])
             for i, c in enumerate(self.components)
         ]
         # iterate g <- Linv(x - higher(g)); degree-k coefficients stabilize
@@ -444,25 +425,6 @@ class PolyMap:
                 for i in range(4)
             ]
         return PolyMap(g, deg)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PolyMap):
-            return NotImplemented
-        return self.components == other.components
-
-    def __str__(self) -> str:
-        return "\n".join(f"{VARS[i]} = {self.components[i]}" for i in range(4))
-
-    def to_json(self) -> dict:
-        return {
-            "max_degree": self.max_degree,
-            "components": [c.to_json() for c in self.components],
-        }
-
-    @staticmethod
-    def parse(text: str, max_degree: int) -> "PolyMap":
-        comps = _parse_component_lines(text, prefix="")
-        return PolyMap(comps, max_degree)
 
 
 def _parse_component_lines(text: str, prefix: str) -> List[Poly]:
@@ -536,9 +498,7 @@ def check_symmetry(x: PolyVF, phi: Mat4, sign: int) -> SymmetryReport:
         diff = lhs[i] - rhs[i].scale(sign)
         for e, c in diff.sorted_terms():
             offending.append((i, e, c))
-    return SymmetryReport(
-        ok=not offending, offending=tuple(offending), discarded_degree=-1
-    )
+    return SymmetryReport(ok=not offending, offending=tuple(offending))
 
 
 # parity-condition families: each identity is f_i(xi) = sign * f_j(T xi),

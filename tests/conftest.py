@@ -71,3 +71,12 @@ def random_reversible_field(rng, spec, s_matrix, max_degree, nterms=24):
 
 def seeded_rng(name):
     return random.Random(f"revequiv-{name}")
+
+
+# a 1:2 field with none of the ten candidate symmetries of the normalizer
+NO_SYMMETRY_FIELD = """\
+dx1 = -1*x2 + 1/2*x1*y1^2 + 3*x2*x1^2 - 2/3*x1^2*y2
+dx2 = 1*x1 + x2^3 - 1/5*x1*y1*y2
+dy1 = -2*y2 + 7*y1*x1^2 + y2*x2^2
+dy2 = 2*y1 - 3/4*y2^3 + x1*x2*y1
+"""

@@ -9,7 +9,6 @@ from revequiv.normalform import (
     ResonanceSpec,
     _blocks,
     _defect_block,
-    _field_to_block_vector,
     _homological,
     _homological_block,
     _symmetry_candidates,
@@ -34,6 +33,18 @@ def _reversibility_defect(h, phi, sign):
     return PolyVF(comps, h.max_degree)
 
 
+def _field_to_block_vector(v, basis_index):
+    """Coordinates of a field in a block basis; raises if it leaks outside."""
+    out = [Fraction(0)] * len(basis_index)
+    for i in range(4):
+        for e, c in v.components[i].terms.items():
+            key = (i, e)
+            if key not in basis_index:
+                raise ValueError(f"operator leaks outside block: {key}")
+            out[basis_index[key]] = c.as_rational()
+    return out
+
+
 def _basis_field(comp, e, degree):
     comps = [Poly() for _ in range(4)]
     comps[comp] = Poly.monomial(e, 1)
@@ -46,7 +57,7 @@ def generic_block_matrix(block, degree, op):
     basis = block.basis()
     index = {key: k for k, key in enumerate(basis)}
     cols = [
-        _field_to_block_vector(op(_basis_field(comp, e, degree)), block, index)
+        _field_to_block_vector(op(_basis_field(comp, e, degree)), index)
         for comp, e in basis
     ]
     return [[cols[c][r] for c in range(len(basis))] for r in range(len(basis))]

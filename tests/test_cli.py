@@ -305,6 +305,57 @@ def test_bad_degree_env_falls_back(capsys, monkeypatch):
     assert json.loads(out)["degree"] == 7
 
 
+ZERO_FIELD = "dx1 = 0\ndx2 = 0\ndy1 = 0\ndy2 = 0\n"
+CHECK = ("check", "--field", "x.vf", "--involution", "builtin:R0")
+
+
+@pytest.mark.parametrize(
+    "files, argv, env",
+    [
+        ({"x.vf": '{"components": 3}'}, CHECK, None),
+        ({"x.vf": "{bad"}, CHECK, None),
+        ({"x.vf": '{"max_degree": 3, "components": [[], [], []]}'}, CHECK, None),
+        ({"x.vf": '{"max_degree": 3, "components": [[{"exponents": [1, 2], '
+                  '"coefficient": {"num": 1, "den": 1}}], [], [], []]}'}, CHECK, None),
+        ({"x.vf": '{"max_degree": "x", "components": [[], [], [], []]}'}, CHECK, None),
+        ({"x.vf": ZERO_FIELD.replace("dx1 = 0", "dx1 = 1/0*x1")}, CHECK, None),
+        ({"phi.map": '{"components": 3}'}, ("linearize", "--map", "phi.map"), None),
+        ({"phi.map": "x1 = x2^2\nx2 = x2\ny1 = y1\ny2 = y2\n"},
+         ("linearize", "--map", "phi.map"), None),
+        ({"x.vf": ZERO_FIELD, "s.mat": "[[1,2],[3]]"},
+         ("check", "--field", "x.vf", "--involution", "s.mat"), None),
+        ({}, ("solve-involutions", "--n", "2", "--alpha", "1/0", "--beta", "2"), None),
+        ({}, ("solve-involutions", "--n", "2", "--alpha", "1", "--beta", "2",
+              "--include-degenerate"), None),
+        ({}, ("oracle", "--p", "1", "--q", "2", "--group", "1", "--degree", "0"), None),
+        ({}, ("oracle", "--p", "1", "--q", "2", "--group", "1", "--degree", "1"), None),
+        ({}, ("oracle", "--p", "1", "--q", "2", "--group", "1"), "1"),
+        ({}, ("normal-form", "--p", "1", "--q", "2", "--group", "1", "--degree", "0"), None),
+        ({}, ("normal-form", "--p", "1", "--q", "2", "--group", "1"), "-5"),
+        ({"x.vf": ZERO_FIELD}, CHECK + ("--degree", "0"), None),
+        ({"phi.map": "x1 = x1\nx2 = x2\ny1 = y1\ny2 = y2\n"},
+         ("linearize", "--map", "phi.map", "--degree", "-1"), None),
+    ],
+    ids=[
+        "field-json-shape", "field-json-syntax", "field-three-components",
+        "field-short-exponents", "field-string-max-degree",
+        "field-zero-denominator", "map-json-shape", "map-singular",
+        "involution-json-shape", "alpha-zero-denominator", "no-include-degenerate",
+        "oracle-degree-0", "oracle-degree-1", "oracle-env-degree-1",
+        "normal-form-degree-0", "normal-form-env-degree-minus-5", "check-degree-0",
+        "linearize-degree-minus-1",
+    ],
+)
+def test_bad_input_is_usage_error(capsys, monkeypatch, tmp_path, files, argv, env):
+    if env is not None:
+        monkeypatch.setenv("REVEQUIV_DEGREE", env)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, _, err = run(capsys, *(str(tmp_path / a) if a in files else a for a in argv))
+    assert code == 2
+    assert "Traceback" not in err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from conftest import random_reversible_field, seeded_rng
+from conftest import NO_SYMMETRY_FIELD, random_reversible_field, seeded_rng
 from revequiv.normalform import (
     CONJ,
     CONSTRAINT_TABLE,
@@ -26,6 +26,7 @@ from revequiv.normalform import (
     table_report,
     xi_index,
     _homological,
+    _symmetry_candidates,
 )
 from revequiv.solver import R0, solve_involutions, LinearPart, partition_by_group
 from revequiv.vecfield import Poly, PolyVF, check_symmetry, conjugate
@@ -364,6 +365,19 @@ def test_normalize_reversible_field_end_to_end():
     nf2, h2 = belitskii_normalize(nf, spec, 4)
     assert nf2 == nf
     assert all(h2.components[i] == Poly.variable(i) for i in range(4))
+
+
+def test_normalize_field_without_detected_symmetry():
+    # none of the ten candidate symmetries holds, so the change ranges over
+    # every field of each block
+    spec = ResonanceSpec(1, 2)
+    x = PolyVF.parse(NO_SYMMETRY_FIELD, 5)
+    assert not any(check_symmetry(x, s, -1).ok for s in _symmetry_candidates())
+    nf, h = belitskii_normalize(x, spec, 5)
+    assert nf != x
+    assert conjugate(x, h) == nf
+    resid = _homological(nf.nonlinear(), spec.linear_matrix().transpose())
+    assert PolyVF([c.truncated(5) for c in resid.components], 5).is_zero()
 
 
 def test_normalize_preserves_detected_symmetry_with_survivors():
