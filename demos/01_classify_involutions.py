@@ -10,8 +10,6 @@ from fractions import Fraction
 
 from revequiv import (
     LinearPart,
-    R0,
-    generate_closure,
     is_dihedral,
     partition_by_group,
     sign_assignment,
@@ -34,13 +32,12 @@ for n in (3, 4):
     print(f"\n=== <R0, S> dihedral of order {2 * n} ===")
     print(f"{len(sols)} non-degenerate solutions in {len(classes)} classes")
     for c in classes:
-        g = generate_closure([R0, c.members[0].s])
-        rho = sign_assignment(g, lin.matrix())
+        rho = sign_assignment(c.group, lin.matrix())
         reversing = sum(1 for s in rho.signs if s == -1)
         angles = sorted(m.block_angles for m in c.members)
         print(
-            f"  angles {angles}: group order {len(g.elements)}, "
-            f"dihedral={is_dihedral(g, n)}, {reversing} reversing elements"
+            f"  angles {angles}: group order {c.group_order}, "
+            f"dihedral={is_dihedral(c.group, n)}, {reversing} reversing elements"
         )
 
 # The same enumeration is independent of the frequencies: only the block

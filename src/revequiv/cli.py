@@ -26,10 +26,9 @@ import sys
 from fractions import Fraction
 from typing import List
 
-from .exactalg import Mat4
-from .groups import generate_closure, is_dihedral, sign_assignment
+from .exactalg import Mat4, is_involution
+from .groups import is_dihedral, sign_assignment
 from .normalform import (
-    CoeffConstraint,
     MixedResonantTerms,
     ResonanceSpec,
     belitskii_normalize,
@@ -38,7 +37,7 @@ from .normalform import (
     real_group_representative,
     survival_analysis,
     table_report,
-    xi_index,
+    xi_group_indices,
 )
 from .solver import (
     R0,
@@ -49,7 +48,6 @@ from .solver import (
     partition_by_group,
     reflection_block_matrix,
     solve_involutions,
-    verify_raw_system,
 )
 from .vecfield import (
     FieldFormatError,
@@ -57,7 +55,6 @@ from .vecfield import (
     PolyMap,
     PolyVF,
     check_symmetry,
-    conjugate,
     linearize_involution,
 )
 
@@ -138,16 +135,20 @@ def load_involution(spec: str) -> Mat4:
     text = _read(spec, "involution")
     if text.startswith("["):
         try:
-            return Mat4.from_json(json.loads(text))
+            m = Mat4.from_json(json.loads(text))
         except _DECODE_ERRORS as e:
             raise UsageError(f"bad involution file {spec!r}: {e!r}")
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    if len(rows) != 4 or any(len(r) != 4 for r in rows):
-        raise UsageError(f"involution file {spec!r} must contain a 4x4 matrix")
-    try:
-        return Mat4([[Fraction(x) for x in r] for r in rows])
-    except (ValueError, ZeroDivisionError) as e:
-        raise UsageError(f"bad matrix entry in {spec!r}: {e}")
+    else:
+        rows = [line.split() for line in text.splitlines() if line.strip()]
+        if len(rows) != 4 or any(len(r) != 4 for r in rows):
+            raise UsageError(f"involution file {spec!r} must contain a 4x4 matrix")
+        try:
+            m = Mat4([[Fraction(x) for x in r] for r in rows])
+        except (ValueError, ZeroDivisionError) as e:
+            raise UsageError(f"bad matrix entry in {spec!r}: {e}")
+    if not is_involution(m):
+        raise UsageError(f"the matrix in {spec!r} is not an involution: S*S != I")
+    return m
 
 
 def _load_components(cls, path: str, max_degree: int, what: str):
@@ -231,7 +232,7 @@ def _class_labels(classes, n: int) -> List[str]:
     dihedral groups, class<index> otherwise."""
     labels = []
     for idx, c in enumerate(classes, start=1):
-        j = xi_index(c.members[0].s) if n == 4 else None
+        j = xi_group_indices().get(c.group.element_set()) if n == 4 else None
         labels.append(f"Xi{j}" if j is not None else f"class{idx}")
     return labels
 
@@ -276,14 +277,13 @@ def cmd_classify(args) -> int:
     a_mat = lin.matrix()
     report = []
     for c, label in zip(classes, _class_labels(classes, args.n)):
-        g = generate_closure([R0, c.members[0].s])
-        rho = sign_assignment(g, a_mat)
+        rho = sign_assignment(c.group, a_mat)
         report.append(
             {
                 "class_id": label,
                 "members": [m.to_json() for m in c.members],
-                "group": g.to_json(rho=rho),
-                "dihedral": is_dihedral(g, args.n),
+                "group": c.group.to_json(rho=rho),
+                "dihedral": is_dihedral(c.group, args.n),
                 "n_reversing": sum(1 for s in rho.signs if s == -1),
             }
         )
@@ -322,7 +322,7 @@ def cmd_check(args) -> int:
             )
         )
     elif rep.ok:
-        print(f"OK: field is {kind} under the given involution (degree <= {degree})")
+        print(f"OK: field is {kind} under the given involution (degree <= {x.max_degree})")
     else:
         print(f"FAIL: field is not {kind}; first offending coefficients:")
         for i, e, v in rep.offending[:10]:

@@ -166,11 +166,6 @@ class AlgScalar:
             raise ValueError(f"{self} is irrational")
         return self.a
 
-    def __float__(self) -> float:
-        import math
-
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
-
     def __repr__(self) -> str:
         if self.d == 0:
             return f"AlgScalar({self.a})"

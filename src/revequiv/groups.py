@@ -8,7 +8,7 @@ anticommute with the linear part) from equivariant ones (which commute).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from .exactalg import Mat4, anticommutes, commutes
 
@@ -35,7 +35,7 @@ class MatGroup:
         return len(self.elements)
 
     def __contains__(self, m: Mat4) -> bool:
-        return m in set(self.elements)
+        return m in self.elements
 
     def element_set(self) -> frozenset:
         return frozenset(self.elements)
@@ -43,7 +43,7 @@ class MatGroup:
     def to_json(self, rho: "SignAssignment | None" = None) -> dict:
         out = {"order": self.order, "elements": [m.to_json() for m in self.elements]}
         if rho is not None:
-            out["rho"] = [rho[m] for m in self.elements]
+            out["rho"] = list(rho.signs)
         return out
 
 
@@ -55,8 +55,7 @@ class SignAssignment:
     group: MatGroup = field(compare=False)
 
     def __getitem__(self, m: Mat4) -> int:
-        idx = {e: i for i, e in enumerate(self.group.elements)}
-        return self.signs[idx[m]]
+        return self.signs[self.group.elements.index(m)]
 
     def as_dict(self) -> Dict[Mat4, int]:
         return dict(zip(self.group.elements, self.signs))
@@ -123,22 +122,12 @@ def is_dihedral(g: MatGroup, n: int) -> bool:
         return False
     ident = Mat4.identity()
     for r in rotations:
-        cyc = set()
-        p = ident
-        for _ in range(n):
-            cyc.add(p)
-            p = p * r
-        if len(cyc) != n:
-            continue
-        outside = [m for m in g.elements if m not in cyc]
-        r_inv = r
-        for _ in range(n - 2):
-            r_inv = r_inv * r
-        # r_inv = r^(n-1) = r^-1
-        ok = all(
-            m * m == ident and m * r * m == r_inv for m in outside
-        )
-        if ok:
+        powers = [ident]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * r)
+        r_inv = powers[-1]  # r^(n-1) = r^-1
+        outside = [m for m in g.elements if m not in powers]
+        if all(m * m == ident and m * r * m == r_inv for m in outside):
             return True
     return False
 

@@ -26,6 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .exactalg import Mat4
+from .groups import ClosureCapExceeded, generate_closure
 from .solver import R0, linear_part_matrix
 from .vecfield import Poly, PolyMap, PolyVF, check_symmetry, conjugate
 
@@ -786,10 +787,12 @@ def _normalization_spaces(p: int, q: int, k: int, detected: Tuple[Mat4, ...]):
 
 
 @lru_cache(maxsize=None)
-def _xi_group_elements(j: int) -> frozenset:
-    from .groups import generate_closure
-
-    return generate_closure([R0, real_group_representative(j)]).element_set()
+def xi_group_indices() -> Dict[frozenset, int]:
+    """The element set of each group <R0, S_j>, j = 1..6, mapped to j."""
+    return {
+        generate_closure([R0, real_group_representative(j)]).element_set(): j
+        for j in GROUP_INDICES
+    }
 
 
 def xi_index(s: Mat4) -> Optional[int]:
@@ -798,16 +801,11 @@ def xi_index(s: Mat4) -> Optional[int]:
     Classes are keyed by the group <diag(1,-1,1,-1), S>; returns None when S
     generates none of the six (e.g. for degenerate solutions or other n).
     """
-    from .groups import ClosureCapExceeded, generate_closure
-
     try:
         elems = generate_closure([R0, s], cap=16).element_set()
     except ClosureCapExceeded:
         return None
-    for j in GROUP_INDICES:
-        if elems == _xi_group_elements(j):
-            return j
-    return None
+    return xi_group_indices().get(elems)
 
 
 # ---------------------------------------------------------------------------

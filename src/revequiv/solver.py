@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .exactalg import AlgScalar, Mat4, anticommutes, is_involution
-from .groups import MatGroup, generate_closure
+from .groups import MatGroup, element_order, generate_closure
 
 SUPPORTED_N = (2, 3, 4, 6)
 
@@ -143,8 +143,14 @@ class InvolutionSolution:
 
 @dataclass(frozen=True)
 class XiClass:
+    """The solutions that generate one group <R0, S>, and that group."""
+
     members: Tuple[InvolutionSolution, ...]
-    group_order: int
+    group: MatGroup
+
+    @property
+    def group_order(self) -> int:
+        return self.group.order
 
     def sort_key(self):
         return min(m.sort_key() for m in self.members)
@@ -165,19 +171,13 @@ def solve_involutions(
         )
     lin.check_nonresonant_pair()
     a_mat = lin.matrix()
-    ident = Mat4.identity()
     out = []
     for k1 in range(n):
         for k2 in range(n):
             s = reflection_block_matrix(n, k1, k2)
             # sanity: the construction already guarantees these
             assert is_involution(s) and anticommutes(s, a_mat)
-            rs = R0 * s
-            p = rs
-            order = 1
-            while p != ident:
-                p = p * rs
-                order += 1
+            order = element_order(R0 * s)
             assert n % order == 0
             group_order = 2 * order if order > 1 else 2
             sol = InvolutionSolution(
@@ -202,14 +202,11 @@ def partition_by_group(solutions: Sequence[InvolutionSolution]) -> List[XiClass]
     buckets = {}
     for sol in solutions:
         closure = generate_closure([R0, sol.s])
-        key = closure.element_set()
-        buckets.setdefault(key, []).append(sol)
+        group, sols = buckets.setdefault(closure.element_set(), (closure, []))
+        sols.append(sol)
     classes = [
-        XiClass(
-            members=tuple(sorted(sols, key=InvolutionSolution.sort_key)),
-            group_order=len(key),
-        )
-        for key, sols in buckets.items()
+        XiClass(members=tuple(sorted(sols, key=InvolutionSolution.sort_key)), group=group)
+        for group, sols in buckets.values()
     ]
     classes.sort(key=XiClass.sort_key)
     return classes

@@ -10,9 +10,8 @@ Variables are (x1, x2, y1, y2), indexed 0..3.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactalg import AlgScalar, Mat4, ZERO, scalar
@@ -340,7 +339,13 @@ class _Components:
             raise FieldFormatError(
                 f"max_degree must be a nonnegative integer, got {max_degree!r}"
             )
-        return cls([Poly.from_json(c) for c in obj["components"]], max_degree)
+        components = [Poly.from_json(c) for c in obj["components"]]
+        degree = max((c.degree() for c in components), default=-1)
+        if degree > max_degree:
+            raise FieldFormatError(
+                f"a term of degree {degree} above max_degree {max_degree}"
+            )
+        return cls(components, max_degree)
 
 
 class PolyVF(_Components):

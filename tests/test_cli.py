@@ -163,6 +163,16 @@ def test_check_malformed_field_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_check_reports_degree_of_json_field(capsys, tmp_path):
+    x = PolyVF.parse("dx1 = -1*x2\ndx2 = x1\ndy1 = -2*y2\ndy2 = 2*y1", 2)
+    path = write_field(tmp_path, "x.vf", x)
+    code, out, _ = run(
+        capsys, "check", "--field", path, "--involution", "builtin:R0", "--degree", "7"
+    )
+    assert code == 0
+    assert "(degree <= 2)" in out
+
+
 def test_involution_plain_matrix_file(capsys, tmp_path):
     mat = tmp_path / "r0.mat"
     mat.write_text("1 0 0 0\n0 -1 0 0\n0 0 1 0\n0 0 0 -1\n")
@@ -306,6 +316,7 @@ def test_bad_degree_env_falls_back(capsys, monkeypatch):
 
 
 ZERO_FIELD = "dx1 = 0\ndx2 = 0\ndy1 = 0\ndy2 = 0\n"
+CUBIC_FIELD = "dx1 = -1*x2 + x1^3\ndx2 = x1\ndy1 = -2*y2\ndy2 = 2*y1\n"
 CHECK = ("check", "--field", "x.vf", "--involution", "builtin:R0")
 
 
@@ -324,6 +335,14 @@ CHECK = ("check", "--field", "x.vf", "--involution", "builtin:R0")
          ("linearize", "--map", "phi.map"), None),
         ({"x.vf": ZERO_FIELD, "s.mat": "[[1,2],[3]]"},
          ("check", "--field", "x.vf", "--involution", "s.mat"), None),
+        ({"x.vf": CUBIC_FIELD, "s.mat": "0 0 0 0\n" * 4},
+         ("check", "--field", "x.vf", "--involution", "s.mat"), None),
+        ({"x.vf": CUBIC_FIELD,
+          "s.mat": json.dumps([[{"num": 2 * (i == j), "den": 1} for j in range(4)]
+                               for i in range(4)])},
+         ("check", "--field", "x.vf", "--involution", "s.mat"), None),
+        ({"x.vf": '{"max_degree": 2, "components": [[{"exponents": [3, 0, 0, 0], '
+                  '"coefficient": {"num": 1, "den": 1}}], [], [], []]}'}, CHECK, None),
         ({}, ("solve-involutions", "--n", "2", "--alpha", "1/0", "--beta", "2"), None),
         ({}, ("solve-involutions", "--n", "2", "--alpha", "1", "--beta", "2",
               "--include-degenerate"), None),
@@ -340,7 +359,8 @@ CHECK = ("check", "--field", "x.vf", "--involution", "builtin:R0")
         "field-json-shape", "field-json-syntax", "field-three-components",
         "field-short-exponents", "field-string-max-degree",
         "field-zero-denominator", "map-json-shape", "map-singular",
-        "involution-json-shape", "alpha-zero-denominator", "no-include-degenerate",
+        "involution-json-shape", "involution-zero-matrix", "involution-json-2I",
+        "field-term-above-max-degree", "alpha-zero-denominator", "no-include-degenerate",
         "oracle-degree-0", "oracle-degree-1", "oracle-env-degree-1",
         "normal-form-degree-0", "normal-form-env-degree-minus-5", "check-degree-0",
         "linearize-degree-minus-1",

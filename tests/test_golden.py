@@ -52,6 +52,16 @@ GOLDEN = [
         "b3c9fe8b9c8523786aa97b367eea780aa3d8b3e8c4cd080bac6c744143d996ed",
     ),
     (
+        ("classify", "--n", "6", "--alpha", "1", "--beta", "2", "--json"),
+        0,
+        "a0a96f03482aa82a4615ba5aa79db034040afa9e23727664f6a19bfb2b38fb6e",
+    ),
+    (
+        ("solve-involutions", "--n", "4", "--alpha", "1", "--beta", "2", "--json"),
+        0,
+        "2fb0f21b3111ec1e76c27b5102208080f12e176dc6dffca2d408dc94417829e7",
+    ),
+    (
         ("normal-form", "--p", "3", "--q", "5", "--group", "1", "--degree", "7", "--latex"),
         0,
         "9fc3dc9258f3d80d18fe8a8e926cf8f508364dcca799ffdc56408d64f25bab27",

@@ -1,0 +1,77 @@
+"""Static checks on the package source, read with ``ast``.
+
+The package declares no runtime dependencies and computes exactly, so every
+import in ``src/revequiv`` must come from the standard library or from the
+package itself, no module-level import may go unused, and no float may
+appear: no float literal, no ``float`` name and no ``__float__``.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "revequiv"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _names_used(tree):
+    """Every name the module reads, including inside string annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            used |= {n.id for n in ast.walk(ast.parse(annotation.value, mode="eval"))
+                     if isinstance(n, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_relative(path):
+    outside = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        outside += [(node.lineno, r) for r in roots if r not in sys.stdlib_module_names]
+    assert outside == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_module_level_import(path):
+    tree = _tree(path)
+    used = _names_used(tree)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            unused += [(node.lineno, n) for n in names if n not in used]
+    assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_floats(path):
+    floats = []
+    for node in ast.walk(_tree(path)):
+        if (
+            isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+            or isinstance(node, ast.Name) and node.id == "float"
+            or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "__float__"
+            or isinstance(node, ast.Attribute) and node.attr == "__float__"
+        ):
+            floats.append((node.lineno, ast.dump(node)[:60]))
+    assert floats == []

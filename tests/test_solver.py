@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from revequiv.exactalg import AlgScalar, Mat4, anticommutes, is_involution
+from revequiv.groups import generate_closure
 from revequiv.solver import (
     R0,
     DegenerateResonance,
@@ -74,6 +75,8 @@ def test_partition_sizes():
         assert sorted(len(c.members) for c in classes) == sorted(expected)
         for c in classes:
             assert c.group_order == 2 * n
+            for m in c.members:
+                assert c.group.elements == generate_closure([R0, m.s]).elements
 
 
 def test_solutions_independent_of_frequencies():

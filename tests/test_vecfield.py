@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_poly_field, random_reversible_field, seeded_rng
 from revequiv.exactalg import Mat4
@@ -134,6 +135,42 @@ def test_map_inverse_composes_to_identity():
     )
     assert h.compose(h.inverse()) == PolyMap.identity(5)
     assert h.inverse().compose(h) == PolyMap.identity(5)
+
+
+def _terms(min_degree):
+    """(component, exponents, coefficient) triples of degree min_degree..4."""
+    exponents = (
+        st.integers(min_degree, 4)
+        .flatmap(lambda d: st.lists(st.integers(0, 3), min_size=d, max_size=d))
+        .map(lambda variables: tuple(variables.count(i) for i in range(4)))
+    )
+    coefficients = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    return st.lists(st.tuples(st.integers(0, 3), exponents, coefficients), max_size=5)
+
+
+def _components(start, terms):
+    comps = list(start)
+    for i, e, c in terms:
+        comps[i] = comps[i] + Poly.monomial(e, c)
+    return comps
+
+
+near_identity_maps = _terms(2).map(
+    lambda t: PolyMap(_components([Poly.variable(i) for i in range(4)], t), 4)
+)
+fields = _terms(1).map(lambda t: PolyVF(_components([Poly()] * 4, t), 4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(near_identity_maps)
+def test_compose_with_inverse_is_identity(h):
+    assert h.compose(h.inverse()) == PolyMap.identity(4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(fields, near_identity_maps)
+def test_conjugate_by_map_then_inverse_round_trips(x, h):
+    assert conjugate(conjugate(x, h), h.inverse()) == x
 
 
 def _family_involution(family):
