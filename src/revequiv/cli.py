@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from typing import List
 
-from .exactalg import Mat4, is_involution
+from .exactalg import IncompatibleRadicals, Mat4, is_involution
 from .groups import is_dihedral, sign_assignment
 from .normalform import (
     MixedResonantTerms,
@@ -232,7 +232,7 @@ def _class_labels(classes, n: int) -> List[str]:
     dihedral groups, class<index> otherwise."""
     labels = []
     for idx, c in enumerate(classes, start=1):
-        j = xi_group_indices().get(c.group.element_set()) if n == 4 else None
+        j = xi_group_indices().get(c.group) if n == 4 else None
         labels.append(f"Xi{j}" if j is not None else f"class{idx}")
     return labels
 
@@ -536,6 +536,10 @@ def main(argv=None) -> int:
         return 2
     except FieldFormatError as e:
         print(f"field format error: {e}", file=sys.stderr)
+        return 2
+    except IncompatibleRadicals as e:
+        # only input files bring in a radical other than sqrt(3)
+        print(f"usage error: the inputs mix quadratic fields, {e}", file=sys.stderr)
         return 2
 
 

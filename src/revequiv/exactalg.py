@@ -46,6 +46,8 @@ class AlgScalar:
             if b != 0:
                 raise TypeError("cannot nest AlgScalar with a radical part")
             a, b, d = a.a, a.b, a.d
+        if type(d) is not int:
+            raise ValueError(f"d must be an integer, got {d!r}")
         a = Fraction(a)
         b = Fraction(b)
         if d == 1:
@@ -124,24 +126,6 @@ class AlgScalar:
     def conjugate(self) -> "AlgScalar":
         """Galois conjugate a - b*sqrt(d)."""
         return AlgScalar(self.a, -self.b, self.d)
-
-    def inverse(self) -> "AlgScalar":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        # 1/(a + b r) = (a - b r) / (a^2 - b^2 d); the norm is nonzero since
-        # sqrt(d) is irrational for square-free d > 1.
-        norm = self.a * self.a - self.b * self.b * self.d
-        conj = self.conjugate()
-        return AlgScalar(conj.a / norm, conj.b / norm, self.d)
-
-    def __truediv__(self, other: ScalarLike) -> "AlgScalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other: ScalarLike) -> "AlgScalar":
-        return self._coerce(other) * self.inverse()
 
     # -- comparison & ordering ------------------------------------------
 

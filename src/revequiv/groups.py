@@ -25,10 +25,10 @@ class NotCompatible(ValueError):
 
 @dataclass(frozen=True)
 class MatGroup:
-    """A finite matrix group, elements in canonical sorted order."""
+    """A finite matrix group, its elements sorted by the injective
+    ``Mat4.sort_key``: groups with the same elements are equal."""
 
     elements: tuple
-    generators: tuple
 
     @property
     def order(self) -> int:
@@ -36,9 +36,6 @@ class MatGroup:
 
     def __contains__(self, m: Mat4) -> bool:
         return m in self.elements
-
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements)
 
     def to_json(self, rho: "SignAssignment | None" = None) -> dict:
         out = {"order": self.order, "elements": [m.to_json() for m in self.elements]}
@@ -94,7 +91,7 @@ def generate_closure(gens: Sequence[Mat4], cap: int = DEFAULT_CAP) -> MatGroup:
                         )
         frontier = nxt
     elements = tuple(sorted(seen, key=Mat4.sort_key))
-    return MatGroup(elements=elements, generators=tuple(gens))
+    return MatGroup(elements=elements)
 
 
 def element_order(m: Mat4, cap: int = DEFAULT_CAP) -> int:

@@ -26,9 +26,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .exactalg import Mat4
-from .groups import ClosureCapExceeded, generate_closure
+from .groups import MatGroup, generate_closure
 from .solver import R0, linear_part_matrix
-from .vecfield import Poly, PolyMap, PolyVF, check_symmetry, conjugate
+from .vecfield import (
+    Poly, PolyMap, PolyVF, _apply, _linear_forms, check_symmetry, conjugate
+)
 
 
 # ---------------------------------------------------------------------------
@@ -496,15 +498,14 @@ def _monomial_exponents(dx: int, dy: int) -> List[Tuple[int, int, int, int]]:
 def _homological(h: PolyVF, b: Mat4) -> PolyVF:
     """L_B(h) = Dh . (B x) - B . h."""
     deg = h.max_degree
-    bx = [Poly.linear_form([b[i, j] for j in range(4)]) for i in range(4)]
+    bx = _linear_forms(b)
+    bh = _apply(b, h.components)
     comps = []
     for i in range(4):
         acc = Poly()
         for j in range(4):
             acc = acc + h.components[i].diff(j).mul(bx[j], deg + 1)
-        for j in range(4):
-            acc = acc - h.components[j].scale(b[i, j])
-        comps.append(acc)
+        comps.append(acc - bh[i])
     return PolyVF(comps, deg + 1)
 
 
@@ -787,25 +788,9 @@ def _normalization_spaces(p: int, q: int, k: int, detected: Tuple[Mat4, ...]):
 
 
 @lru_cache(maxsize=None)
-def xi_group_indices() -> Dict[frozenset, int]:
-    """The element set of each group <R0, S_j>, j = 1..6, mapped to j."""
-    return {
-        generate_closure([R0, real_group_representative(j)]).element_set(): j
-        for j in GROUP_INDICES
-    }
-
-
-def xi_index(s: Mat4) -> Optional[int]:
-    """Which of the six order-8 dihedral classes the involution s belongs to.
-
-    Classes are keyed by the group <diag(1,-1,1,-1), S>; returns None when S
-    generates none of the six (e.g. for degenerate solutions or other n).
-    """
-    try:
-        elems = generate_closure([R0, s], cap=16).element_set()
-    except ClosureCapExceeded:
-        return None
-    return xi_group_indices().get(elems)
+def xi_group_indices() -> Dict[MatGroup, int]:
+    """Each of the six order-8 dihedral groups <R0, S_j>, j = 1..6, mapped to j."""
+    return {generate_closure([R0, real_group_representative(j)]): j for j in GROUP_INDICES}
 
 
 # ---------------------------------------------------------------------------

@@ -196,17 +196,15 @@ def solve_involutions(
 def partition_by_group(solutions: Sequence[InvolutionSolution]) -> List[XiClass]:
     """Group solutions by the matrix group <R0, S> they generate.
 
-    Two solutions share a class iff their closures coincide as element sets.
-    Classes come out in canonical order.
+    Two solutions share a class iff their closures are equal.  Classes come
+    out in canonical order.
     """
     buckets = {}
     for sol in solutions:
-        closure = generate_closure([R0, sol.s])
-        group, sols = buckets.setdefault(closure.element_set(), (closure, []))
-        sols.append(sol)
+        buckets.setdefault(generate_closure([R0, sol.s]), []).append(sol)
     classes = [
         XiClass(members=tuple(sorted(sols, key=InvolutionSolution.sort_key)), group=group)
-        for group, sols in buckets.values()
+        for group, sols in buckets.items()
     ]
     classes.sort(key=XiClass.sort_key)
     return classes

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import linalg
 from .exactalg import AlgScalar, Mat4, ZERO, scalar
 
 VARS = ("x1", "x2", "y1", "y2")
@@ -112,12 +113,6 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         return self.mul(other)
 
-    def pow(self, k: int, max_degree: Optional[int] = None) -> "Poly":
-        out = Poly.constant(1)
-        for _ in range(k):
-            out = out.mul(self, max_degree)
-        return out
-
     def diff(self, i: int) -> "Poly":
         out: Dict[Expo, AlgScalar] = {}
         for e, c in self.terms.items():
@@ -154,8 +149,7 @@ class Poly:
 
     def substitute_linear(self, m: Mat4) -> "Poly":
         """Evaluate at the linear change xi -> m @ xi (no truncation needed)."""
-        args = [Poly.linear_form([m[i, j] for j in range(4)]) for i in range(4)]
-        return self.substitute(args)
+        return self.substitute(_linear_forms(m))
 
     # -- comparison / display -------------------------------------------
 
@@ -214,7 +208,7 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 _TERM_RE = re.compile(
-    r"^(?P<coef>[+-]?\d+(?:/\d+)?)?"
+    r"^(?P<sign>-?)(?P<num>\d+(?:/\d+)?)?"
     r"(?P<vars>(?:\*?(?:x1|x2|y1|y2)(?:\^\d+)?)*)$"
 )
 
@@ -237,18 +231,13 @@ def parse_poly(text: str) -> Poly:
         if not chunk:
             raise FieldFormatError(f"empty term in {text!r}")
         m = _TERM_RE.match(chunk)
-        if not m or (not m.group("coef") and not m.group("vars")):
+        if not m or not (m.group("num") or m.group("vars")):
             raise FieldFormatError(f"bad term {chunk!r}")
-        coef_s = m.group("coef")
-        if coef_s in (None, "", "+"):
-            coef = Fraction(1)
-        elif coef_s == "-":
-            coef = Fraction(-1)
-        else:
-            try:
-                coef = Fraction(coef_s)
-            except ZeroDivisionError:
-                raise FieldFormatError(f"zero denominator in {chunk!r}") from None
+        # a sign without a number is +-1
+        try:
+            coef = Fraction(m.group("sign") + (m.group("num") or "1"))
+        except ZeroDivisionError:
+            raise FieldFormatError(f"zero denominator in {chunk!r}") from None
         e = [0, 0, 0, 0]
         vs = m.group("vars") or ""
         for vm in re.finditer(r"(x1|x2|y1|y2)(?:\^(\d+))?", vs):
@@ -294,10 +283,7 @@ class _Components:
 
     @classmethod
     def from_linear(cls, m: Mat4, max_degree: int):
-        return cls(
-            [Poly.linear_form([m[i, j] for j in range(4)]) for i in range(4)],
-            max_degree,
-        )
+        return cls(_linear_forms(m), max_degree)
 
     def linear_part(self) -> Mat4:
         return Mat4(
@@ -412,23 +398,13 @@ class PolyMap(_Components):
         lin = self.linear_part()
         lin_inv = _mat_inverse(lin)
         ident = [Poly.variable(i) for i in range(4)]
-        higher = [
-            c - Poly.linear_form([lin[i, j] for j in range(4)])
-            for i, c in enumerate(self.components)
-        ]
+        higher = [c - l for c, l in zip(self.components, _linear_forms(lin))]
         # iterate g <- Linv(x - higher(g)); degree-k coefficients stabilize
         # after k iterations
-        g = [Poly.linear_form([lin_inv[i, j] for j in range(4)]) for i in range(4)]
+        g = _linear_forms(lin_inv)
         for _ in range(deg):
             hg = [h.substitute(g, deg) for h in higher]
-            resid = [ident[i] - hg[i] for i in range(4)]
-            g = [
-                sum(
-                    (resid[j].scale(lin_inv[i, j]) for j in range(4)),
-                    Poly(),
-                )
-                for i in range(4)
-            ]
+            g = _apply(lin_inv, [ident[i] - hg[i] for i in range(4)])
         return PolyMap(g, deg)
 
 
@@ -455,24 +431,38 @@ def _parse_component_lines(text: str, prefix: str) -> List[Poly]:
     return [comps[v] for v in VARS]
 
 
+def _linear_forms(m: Mat4) -> List[Poly]:
+    """The components of the linear map x -> m x."""
+    return [Poly.linear_form([m[i, j] for j in range(4)]) for i in range(4)]
+
+
+def _apply(m: Mat4, comps: Sequence[Poly]) -> List[Poly]:
+    """m . (c0, ..., c3): component i is the sum over j of m[i, j] * c_j."""
+    return [sum((comps[j].scale(m[i, j]) for j in range(4)), Poly()) for i in range(4)]
+
+
 def _mat_inverse(m: Mat4) -> Mat4:
-    """Exact inverse by Gauss-Jordan over the quadratic field."""
-    aug = [
-        [m[i, j] for j in range(4)] + [scalar(1 if i == j else 0) for j in range(4)]
-        for i in range(4)
-    ]
-    for col in range(4):
-        piv = next((r for r in range(col, 4) if not aug[r][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(4):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return Mat4([row[4:] for row in aug])
+    """Exact inverse by restriction of scalars to Q.
+
+    m = m0 + sqrt(d)*m1 acts on v = v0 + sqrt(d)*v1 as the rational 8x8
+    matrix [[m0, d*m1], [m1, m0]] on (v0, v1); ``linalg.rref`` inverts that,
+    and the first block column of the result holds m^-1 = n0 + sqrt(d)*n1.
+    """
+    m0 = [[m[i, j].a for j in range(4)] for i in range(4)]
+    m1 = [[m[i, j].b for j in range(4)] for i in range(4)]
+    rows = [r0 + [m.d * x for x in r1] for r0, r1 in zip(m0, m1)]
+    rows += [r1 + r0 for r0, r1 in zip(m0, m1)]
+    red, pivots = linalg.rref(
+        [row + [int(i == j) for j in range(8)] for i, row in enumerate(rows)]
+    )
+    if pivots != list(range(8)):
+        raise ValueError("singular matrix")
+    return Mat4(
+        [
+            [AlgScalar(red[i][8 + j], red[4 + i][8 + j], m.d) for j in range(4)]
+            for i in range(4)
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +480,7 @@ def check_symmetry(x: PolyVF, phi: Mat4, sign: int) -> SymmetryReport:
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     deg = x.max_degree
-    lhs = [
-        sum(
-            (x.components[j].scale(phi[i, j]) for j in range(4)),
-            Poly(),
-        )
-        for i in range(4)
-    ]
+    lhs = _apply(phi, x.components)
     rhs = [c.substitute_linear(phi).truncated(deg) for c in x.components]
     offending = []
     for i in range(4):
@@ -629,14 +613,7 @@ def linearize_involution(phi: PolyMap, k: int) -> PolyMap:
     comp = phi.compose(PolyMap(phi.components, k))
     if PolyMap(comp.components, k) != PolyMap.identity(k):
         raise NotAnInvolution("phi is not an involution up to the requested degree")
-    h = [
-        Poly.variable(i)
-        + sum(
-            (phi.components[j].scale(dphi[i, j]) for j in range(4)),
-            Poly(),
-        )
-        for i in range(4)
-    ]
+    h = [Poly.variable(i) + c for i, c in enumerate(_apply(dphi, phi.components))]
     return PolyMap([c.truncated(k) for c in h], k)
 
 

@@ -318,6 +318,27 @@ def test_bad_degree_env_falls_back(capsys, monkeypatch):
 ZERO_FIELD = "dx1 = 0\ndx2 = 0\ndy1 = 0\ndy2 = 0\n"
 CUBIC_FIELD = "dx1 = -1*x2 + x1^3\ndx2 = x1\ndy1 = -2*y2\ndy2 = 2*y1\n"
 CHECK = ("check", "--field", "x.vf", "--involution", "builtin:R0")
+ZERO_JSON, ONE_JSON = {"num": 0, "den": 1}, {"num": 1, "den": 1}
+
+
+def _radical(num, den, d=2.5):
+    """num/den * sqrt(d) in the scalar JSON encoding; by default its radical
+    is no integer."""
+    return {"a": ZERO_JSON, "b": {"num": num, "den": den}, "d": d}
+
+
+def _term(exponents, coefficient):
+    return {"exponents": exponents, "coefficient": coefficient}
+
+
+# the rows of x -> (sqrt(2.5)*x2, 2/5*sqrt(2.5)*x1, y1, y2), whose square is
+# the identity in float arithmetic
+FLOAT_RADICAL_INVOLUTION = [
+    [ZERO_JSON, _radical(1, 1), ZERO_JSON, ZERO_JSON],
+    [_radical(2, 5), ZERO_JSON, ZERO_JSON, ZERO_JSON],
+    [ZERO_JSON, ZERO_JSON, ONE_JSON, ZERO_JSON],
+    [ZERO_JSON, ZERO_JSON, ZERO_JSON, ONE_JSON],
+]
 
 
 @pytest.mark.parametrize(
@@ -354,6 +375,22 @@ CHECK = ("check", "--field", "x.vf", "--involution", "builtin:R0")
         ({"x.vf": ZERO_FIELD}, CHECK + ("--degree", "0"), None),
         ({"phi.map": "x1 = x1\nx2 = x2\ny1 = y1\ny2 = y2\n"},
          ("linearize", "--map", "phi.map", "--degree", "-1"), None),
+        ({"x.vf": json.dumps({"max_degree": 3, "components": [
+            [_term([2, 0, 0, 0], _radical(1, 1))], [], [], []]})},
+         CHECK, None),
+        ({"x.vf": json.dumps({"max_degree": 3, "components": [
+            [_term([2, 0, 0, 0], _radical(1, 1, 2))], [], [], []]})},
+         ("check", "--field", "x.vf", "--involution", "builtin:S1@n3"), None),
+        # x -> R0 x + (sqrt(2)*x2^2 + sqrt(3)*x1*x2, 0, 0, 0)
+        ({"phi.map": json.dumps({"max_degree": 3, "components": [
+            [_term([1, 0, 0, 0], ONE_JSON), _term([0, 2, 0, 0], _radical(1, 1, 2)),
+             _term([1, 1, 0, 0], _radical(1, 1, 3))],
+            [_term([0, 1, 0, 0], {"num": -1, "den": 1})],
+            [_term([0, 0, 1, 0], ONE_JSON)],
+            [_term([0, 0, 0, 1], {"num": -1, "den": 1})]]})},
+         ("linearize", "--map", "phi.map"), None),
+        ({"x.vf": ZERO_FIELD, "s.mat": json.dumps(FLOAT_RADICAL_INVOLUTION)},
+         ("check", "--field", "x.vf", "--involution", "s.mat"), None),
     ],
     ids=[
         "field-json-shape", "field-json-syntax", "field-three-components",
@@ -363,7 +400,8 @@ CHECK = ("check", "--field", "x.vf", "--involution", "builtin:R0")
         "field-term-above-max-degree", "alpha-zero-denominator", "no-include-degenerate",
         "oracle-degree-0", "oracle-degree-1", "oracle-env-degree-1",
         "normal-form-degree-0", "normal-form-env-degree-minus-5", "check-degree-0",
-        "linearize-degree-minus-1",
+        "linearize-degree-minus-1", "field-float-radical", "involution-float-radical",
+        "field-radical-other-than-involution", "map-mixed-radicals",
     ],
 )
 def test_bad_input_is_usage_error(capsys, monkeypatch, tmp_path, files, argv, env):

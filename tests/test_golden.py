@@ -21,7 +21,20 @@ dy1 = -2*y2 + 1/6*x1^2*y2 - 1/6*x1^2*x2*y1
 dy2 = 2*y1 - 1/6*x1^2*y1 - 1/6*x1^2*x2*y2
 """
 
-FIELDS = {"no_symmetry.vf": NO_SYMMETRY_FIELD, "class3.vf": CLASS3_FIELD}
+# g o R0 o g^-1 to degree 3, for a g with non-identity linear part that does
+# not commute with R0
+CONJUGATED_R0_MAP = """\
+x1 = -1*x2 + 1*x1 - 1/4*x2*y2 + 1*x2^2 + 1/2*x1*y2 - 2*x1*x2 - 1/16*x2*y2^2 + 35/48*x2^2*y2 - 1/8*x2^2*y1 - 1*x2^3 + 1/8*x1*y2^2 - 23/12*x1*x2*y2 + 1/2*x1*x2*y1 + 2*x1*x2^2 + 11/12*x1^2*y2 - 1/2*x1^2*y1
+x2 = -1*x2
+y1 = 1/3*y2 + 1*y1 + 1/36*x2*y2 + 1/6*x2*y1 - 1/18*x1*y2 - 1/3*x1*y1 + 1/144*x2*y2^2 + 1/24*x2*y1*y2 - 11/432*x2^2*y2 - 11/72*x2^2*y1 - 1/72*x1*y2^2 - 1/12*x1*y1*y2 + 5/108*x1*x2*y2 + 5/18*x1*x2*y1 + 1/108*x1^2*y2 + 1/18*x1^2*y1
+y2 = -1*y2 - 1/6*x2*y2 - 1*x2*y1 + 1/3*x1*y2 + 2*x1*y1 - 1/24*x2*y2^2 - 1/4*x2*y1*y2 + 11/72*x2^2*y2 + 11/12*x2^2*y1 + 1/12*x1*y2^2 + 1/2*x1*y1*y2 - 5/18*x1*x2*y2 - 5/3*x1*x2*y1 - 1/18*x1^2*y2 - 1/3*x1^2*y1
+"""
+
+FIELDS = {
+    "no_symmetry.vf": NO_SYMMETRY_FIELD,
+    "class3.vf": CLASS3_FIELD,
+    "conjugated_r0.map": CONJUGATED_R0_MAP,
+}
 
 # (argv, exit code, sha256 of stdout); a key of FIELDS stands for its file
 GOLDEN = [
@@ -65,6 +78,22 @@ GOLDEN = [
         ("normal-form", "--p", "3", "--q", "5", "--group", "1", "--degree", "7", "--latex"),
         0,
         "9fc3dc9258f3d80d18fe8a8e926cf8f508364dcca799ffdc56408d64f25bab27",
+    ),
+    (
+        ("linearize", "--map", "conjugated_r0.map", "--degree", "3", "--json"),
+        0,
+        "68c96dcb67afcd88520eeff23e2f7042bf511efc9164255a50fe6cbe507821ee",
+    ),
+    (
+        ("check", "--field", "class3.vf", "--involution", "builtin:S1@n3", "--json"),
+        1,
+        "39c24f75f680c90f70ce23d3af7b8486a38e4d30b8f93626609f06d7d09ce937",
+    ),
+    (
+        ("normalize", "--degree", "6", "--field", "class3.vf", "--p", "1", "--q", "2",
+         "--json"),
+        0,
+        "494a6b941c8de3bd284006538ac307098c899c150abecf38e1fe943a089fdd44",
     ),
 ]
 

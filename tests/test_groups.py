@@ -13,7 +13,13 @@ from revequiv.groups import (
     is_dihedral,
     sign_assignment,
 )
-from revequiv.solver import R0, LinearPart, reflection_block_matrix
+from revequiv.solver import (
+    R0,
+    LinearPart,
+    partition_by_group,
+    reflection_block_matrix,
+    solve_involutions,
+)
 
 
 def test_closure_of_klein_group():
@@ -85,6 +91,19 @@ def test_sign_assignment_rejects_incompatible():
     lin = LinearPart(Fraction(1), Fraction(2))
     shear = Mat4([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     g = generate_closure([R0])
-    bad = type(g)(elements=g.elements + (shear,), generators=g.generators)
+    bad = type(g)(elements=g.elements + (shear,))
     with pytest.raises(NotCompatible):
         sign_assignment(bad, lin.matrix())
+
+
+def test_closures_of_one_class_are_equal():
+    # a group is its elements: closing <R0, S> from either member of a class
+    # gives one value, usable as a dict key
+    lin = LinearPart(Fraction(1), Fraction(2))
+    for n in (3, 4):
+        for c in partition_by_group(solve_involutions(lin, n, include_degenerate=False)):
+            s1, s2 = c.members[0].s, c.members[1].s
+            assert s1 != s2
+            g1, g2 = generate_closure([R0, s1]), generate_closure([R0, s2])
+            assert g1 == g2 and hash(g1) == hash(g2)
+            assert g1 == c.group

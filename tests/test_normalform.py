@@ -24,10 +24,11 @@ from revequiv.normalform import (
     survival_analysis,
     table_monomial,
     table_report,
-    xi_index,
+    xi_group_indices,
     _homological,
     _symmetry_candidates,
 )
+from revequiv.groups import generate_closure
 from revequiv.solver import R0, solve_involutions, LinearPart, partition_by_group
 from revequiv.vecfield import Poly, PolyVF, check_symmetry, conjugate
 
@@ -116,8 +117,9 @@ def test_phi_real_forms_are_involutions_in_distinct_classes():
     for j in range(1, 7):
         s = real_group_representative(j)
         assert any(any(m.s == s for m in c.members) for c in classes)
-        assert xi_index(s) == j
-        seen.add(xi_index(s))
+        j_of_s = xi_group_indices().get(generate_closure([R0, s]))
+        assert j_of_s == j
+        seen.add(j_of_s)
     assert seen == {1, 2, 3, 4, 5, 6}
 
 
@@ -130,7 +132,7 @@ def test_phi0_is_the_degenerate_negated_reversor():
     assert m == R0.scale(-1)
     hits = [sol for sol in solve_involutions(lin, 4) if sol.s == m]
     assert len(hits) == 1 and hits[0].degenerate
-    assert xi_index(m) is None
+    assert xi_group_indices().get(generate_closure([R0, m])) is None
 
 
 # -- published tables -------------------------------------------------------

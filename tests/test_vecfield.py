@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_poly_field, random_reversible_field, seeded_rng
-from revequiv.exactalg import Mat4
+from revequiv.exactalg import AlgScalar, Mat4
 from revequiv.normalform import ResonanceSpec, real_group_representative
 from revequiv.solver import R0, reflection_block_matrix
 from revequiv.vecfield import (
@@ -16,6 +16,7 @@ from revequiv.vecfield import (
     Poly,
     PolyMap,
     PolyVF,
+    _mat_inverse,
     check_parity_conditions,
     check_symmetry,
     conjugate,
@@ -36,7 +37,7 @@ def test_poly_arithmetic_basics():
 
 def test_poly_truncation_in_mul():
     x1 = Poly.variable(0)
-    p = x1.pow(3)
+    p = x1 * x1 * x1
     assert p.mul(p, max_degree=5).is_zero()
     assert not p.mul(p, max_degree=6).is_zero()
 
@@ -50,9 +51,17 @@ def test_parse_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("x5", "2**x1", "x1 + + x2", "1/0*x1"):
+    for bad in ("x5", "2**x1", "x1 + + x2", "1/0*x1", "-", "x1 -", "--x1"):
         with pytest.raises((FieldFormatError, ZeroDivisionError)):
             parse_poly(bad)
+
+
+def test_parse_reads_a_bare_sign_as_one():
+    x1, x2, y1 = Poly.variable(0), Poly.variable(1), Poly.variable(2)
+    assert parse_poly("x1 - x2") == x1 - x2
+    assert parse_poly("-x2") == -x2
+    assert parse_poly("-y1^2 + x1") == x1 - y1 * y1
+    assert parse_poly("+x1 - 1/2*y1") == x1 - y1.scale(Fraction(1, 2))
 
 
 def test_field_text_round_trip():
@@ -135,6 +144,38 @@ def test_map_inverse_composes_to_identity():
     )
     assert h.compose(h.inverse()) == PolyMap.identity(5)
     assert h.inverse().compose(h) == PolyMap.identity(5)
+
+
+@pytest.mark.parametrize(
+    "lin",
+    [
+        reflection_block_matrix(3, 1, 0),
+        Mat4(
+            [
+                [1, AlgScalar(0, 1, 3), 0, 0],
+                [0, 2, 0, AlgScalar(Fraction(1, 2), 1, 3)],
+                [AlgScalar(0, -1, 3), 0, 1, Fraction(1, 3)],
+                [0, 0, 0, 3],
+            ]
+        ),
+    ],
+    ids=["involution", "non-involution"],
+)
+def test_inverse_over_quadratic_field(lin):
+    assert _mat_inverse(lin) * lin == Mat4.identity()
+    assert lin * _mat_inverse(lin) == Mat4.identity()
+    h = PolyMap(
+        [
+            c + Poly.monomial(e, Fraction(1, 2))
+            for c, e in zip(
+                PolyMap.from_linear(lin, 4).components,
+                ((0, 2, 0, 0), (1, 0, 1, 0), (0, 0, 0, 3), (1, 1, 1, 0)),
+            )
+        ],
+        4,
+    )
+    assert h.compose(h.inverse()) == PolyMap.identity(4)
+    assert h.inverse().compose(h) == PolyMap.identity(4)
 
 
 def _terms(min_degree):
