@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import List
@@ -143,8 +144,8 @@ def load_involution(spec: str) -> Mat4:
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise UsageError(f"involution file {spec!r} must contain a 4x4 matrix")
         try:
-            m = Mat4([[Fraction(x) for x in r] for r in rows])
-        except (ValueError, ZeroDivisionError) as e:
+            m = Mat4([[_rat(x) for x in r] for r in rows])
+        except UsageError as e:
             raise UsageError(f"bad matrix entry in {spec!r}: {e}")
     if not is_involution(m):
         raise UsageError(f"the matrix in {spec!r} is not an involution: S*S != I")
@@ -173,15 +174,20 @@ def load_map(path: str, max_degree: int) -> PolyMap:
     return _load_components(PolyMap, path, max_degree, "map")
 
 
+_RATIONAL_RE = re.compile(r"-?\d+(/\d+)?")
+
+
 def _rat(text: str) -> Fraction:
+    """A rational written ``a`` or ``a/b``, as in the field format."""
     try:
-        return Fraction(text)
+        if _RATIONAL_RE.fullmatch(text):
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"not a rational number: {text!r}")
+        pass
+    raise UsageError(f"not a rational number: {text!r}")
 
 
-def _latex_rational(x) -> str:
-    f = x.as_rational() if hasattr(x, "as_rational") else Fraction(x)
+def _latex_rational(f: Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     sign = "-" if f < 0 else ""
@@ -377,6 +383,8 @@ def cmd_normalize(args) -> int:
     spec = _resonance(args)
     degree = _degree(args)
     x = load_field(args.field, degree)
+    if any(c.d for comp in x.components for c in comp.terms.values()):
+        raise UsageError("normalize takes rational coefficients only")
     try:
         nf, change = belitskii_normalize(x, spec, degree)
     except ValueError as e:

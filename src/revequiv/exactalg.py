@@ -48,8 +48,11 @@ class AlgScalar:
             a, b, d = a.a, a.b, a.d
         if type(d) is not int:
             raise ValueError(f"d must be an integer, got {d!r}")
-        a = Fraction(a)
-        b = Fraction(b)
+        # exact parts only, no float and no bool; Fractions are kept as they are
+        if type(a) is not Fraction or type(b) is not Fraction:
+            if type(a) not in (int, Fraction) or type(b) not in (int, Fraction):
+                raise TypeError(f"parts must be ints or Fractions, got {a!r}, {b!r}")
+            a, b = Fraction(a), Fraction(b)
         if d == 1:
             a, b, d = a + b, Fraction(0), 0
         if b == 0:
@@ -186,11 +189,10 @@ class AlgScalar:
 
 
 ZERO = AlgScalar(0)
-ONE = AlgScalar(1)
 
 
 def scalar(x: ScalarLike) -> AlgScalar:
-    return AlgScalar._coerce(x)
+    return x if isinstance(x, AlgScalar) else AlgScalar(x)
 
 
 class Mat4:

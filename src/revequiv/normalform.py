@@ -17,6 +17,7 @@ conjugation-linear map acts on it through an explicit sign/swap rule.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -27,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from . import linalg
 from .exactalg import Mat4
 from .groups import MatGroup, generate_closure
-from .solver import R0, linear_part_matrix
+from .solver import R0, linear_part_matrix, reflection_block_matrix
 from .vecfield import (
     Poly, PolyMap, PolyVF, _apply, _linear_forms, check_symmetry, conjugate
 )
@@ -152,27 +153,11 @@ class RevInvolution:
         object.__setattr__(self, "eps2", self.eps2 % 4)
 
     def real_form(self) -> Mat4:
-        """The same map on (x1, x2, y1, y2) with z1 = x1 + i x2, z2 = y1 + i y2."""
-        blocks = []
-        for k in (self.eps1, self.eps2):
-            b = {
-                0: ((1, 0), (0, -1)),
-                1: ((0, 1), (1, 0)),
-                2: ((-1, 0), (0, 1)),
-                3: ((0, -1), (-1, 0)),
-            }[k]
-            blocks.append(b)
-        g = self.global_sign
-        (a11, a12), (a21, a22) = blocks[0]
-        (b11, b12), (b21, b22) = blocks[1]
-        return Mat4(
-            [
-                [g * a11, g * a12, 0, 0],
-                [g * a21, g * a22, 0, 0],
-                [0, 0, g * b11, g * b12],
-                [0, 0, g * b21, g * b22],
-            ]
-        )
+        """The same map on (x1, x2, y1, y2), z1 = x1 + i x2, z2 = y1 + i y2:
+        z -> i^k conj(z) is the reflection at angle k*pi/2, and the global
+        sign -1 adds i^2 to both units."""
+        k = 0 if self.global_sign == 1 else 2
+        return reflection_block_matrix(4, self.eps1 + k, self.eps2 + k)
 
     def __str__(self) -> str:
         s = "-" if self.global_sign < 0 else ""
@@ -613,6 +598,15 @@ def _defect_block(block: _Block, phi: Mat4, sign: int) -> List[List[int]]:
     return _block_matrix(block, images)
 
 
+def _kernel(block: _Block, rows: List[List[int]], syms: Sequence[Mat4],
+            sign: int) -> List[List[Fraction]]:
+    """Nullspace basis on one block of ``rows`` stacked with the defect
+    matrix of each symmetry in ``syms``."""
+    for s in syms:
+        rows = rows + _defect_block(block, s, sign)
+    return linalg.nullspace(rows, ncols=len(block.basis()))
+
+
 @dataclass(frozen=True)
 class OracleResult:
     """Exact kernel dimensions (and bases) of the constrained real system."""
@@ -649,31 +643,24 @@ def brute_force_kernel(
     Each invariant block (component pair x bidegree) is solved on its own:
     the integer matrices of L_{A^T} and of the two reversibility defects are
     read off the exponents of the block's basis monomials
-    (``_homological_block``, ``_defect_block``), stacked, and their common
-    nullspace is taken by ``linalg.nullspace``.
+    (``_homological_block``, ``_defect_block``), and ``_kernel`` takes their
+    common nullspace.
     """
     a_t = spec.linear_matrix().transpose()
     s_real = real_group_representative(group_index)
     dims: Dict[int, int] = {}
     bases: Dict[int, List[PolyVF]] = {}
     for k in range(min_degree, degree + 1):
-        dim = 0
         vecs: List[PolyVF] = []
         for block in _blocks(k):
             basis = block.basis()
-            rows = (
-                _homological_block(block, a_t)
-                + _defect_block(block, R0, sign)
-                + _defect_block(block, s_real, sign)
-            )
-            for v in linalg.nullspace(rows, ncols=len(basis)):
+            for v in _kernel(block, _homological_block(block, a_t), (R0, s_real), sign):
                 terms = [{} for _ in range(4)]
                 for (comp, e), coef in zip(basis, v):
                     if coef:
                         terms[comp][e] = coef
                 vecs.append(PolyVF([Poly(t) for t in terms], k))
-                dim += 1
-        dims[k] = dim
+        dims[k] = len(vecs)
         bases[k] = vecs
     return OracleResult(
         spec=spec, group_index=group_index, dimensions=dims, bases=bases
@@ -766,13 +753,8 @@ def _normalization_spaces(p: int, q: int, k: int, detected: Tuple[Mat4, ...]):
         basis = block.basis()
         nb = len(basis)
         la_rows = _homological_block(block, a)
-        equi_rows = []
-        rev_rows = []
-        for s_mat in detected:
-            equi_rows += _defect_block(block, s_mat, +1)
-            rev_rows += _defect_block(block, s_mat, -1)
-        equi_basis = linalg.nullspace(equi_rows, ncols=nb)
-        kern_basis = linalg.nullspace(_homological_block(block, a_t) + rev_rows, ncols=nb)
+        equi_basis = _kernel(block, [], detected, +1)
+        kern_basis = _kernel(block, _homological_block(block, a_t), detected, -1)
         cols = kern_basis + [
             [sum(la_rows[r][c] * v[c] for c in range(nb)) for r in range(nb)]
             for v in equi_basis
@@ -803,6 +785,9 @@ def table_monomial(spec: ResonanceSpec) -> ResMonomial:
     return ResMonomial(1, (0, spec.q - 1, spec.p, 0))
 
 
+_CLAUSE_RE = re.compile(r"(p\+q|p|q) (?:= (\d) mod 4|(even|odd))")
+
+
 @dataclass(frozen=True)
 class ConstraintTableRow:
     """One row: under phi_{phi_index}-reversibility and the stated residue
@@ -820,7 +805,18 @@ class ConstraintTableRow:
     printed_hypothesis: Optional[str] = None
 
     def hypothesis_holds(self, p: int, q: int) -> bool:
-        return _ROW_PREDICATES[(self.phi_index, self.hypothesis)](p, q)
+        """Evaluate the hypothesis text: clauses joined by ", ", each
+        "E = k mod 4", "E even" or "E odd" with E one of p, q, p+q."""
+        value = {"p": p, "q": q, "p+q": p + q}
+        for clause in self.hypothesis.split(", "):
+            m = _CLAUSE_RE.fullmatch(clause)
+            if m is None:
+                raise ValueError(f"bad hypothesis clause {clause!r}")
+            expr, residue, parity = m.groups()
+            modulus, residue = (4, int(residue)) if residue else (2, parity == "odd")
+            if value[expr] % modulus != residue:
+                return False
+        return True
 
     def minimal_pair(self, bound: int = 60) -> Optional[ResonanceSpec]:
         """Smallest coprime (p, q) with p != q satisfying the hypothesis,
@@ -841,69 +837,61 @@ class ConstraintTableRow:
 def _mk_rows():
     C = CoeffConstraint
     rows = []
-    preds = {}
 
-    def row(j, text, pred, stated, tautology=False, printed=None):
+    def row(j, text, stated, tautology=False, printed=None):
         rows.append(ConstraintTableRow(j, text, stated, tautology, printed))
-        preds[(j, text)] = pred
 
-    row(0, "p+q even", lambda p, q: (p + q) % 2 == 0, C.RE_ZERO)
-    row(0, "p+q odd", lambda p, q: (p + q) % 2 == 1, C.IM_ZERO)
+    row(0, "p+q even", C.RE_ZERO)
+    row(0, "p+q odd", C.IM_ZERO)
 
-    row(1, "q = 0 mod 4", lambda p, q: q % 4 == 0, C.RE_ZERO)
-    row(1, "q = 1 mod 4", lambda p, q: q % 4 == 1, C.RE_EQ_MINUS_IM)
-    row(1, "q = 2 mod 4", lambda p, q: q % 4 == 2, C.IM_ZERO)
-    row(1, "q = 3 mod 4", lambda p, q: q % 4 == 3, C.RE_EQ_IM)
+    row(1, "q = 0 mod 4", C.RE_ZERO)
+    row(1, "q = 1 mod 4", C.RE_EQ_MINUS_IM)
+    row(1, "q = 2 mod 4", C.IM_ZERO)
+    row(1, "q = 3 mod 4", C.RE_EQ_IM)
 
-    row(2, "p = 0 mod 4, q even", lambda p, q: p % 4 == 0 and q % 2 == 0, C.RE_ZERO)
-    row(2, "p = 0 mod 4, q odd", lambda p, q: p % 4 == 0 and q % 2 == 1, C.IM_ZERO)
-    row(2, "p = 1 mod 4, q even", lambda p, q: p % 4 == 1 and q % 2 == 0, C.RE_EQ_IM,
-        printed="q = 1 mod 4, q even")
-    row(2, "p = 1 mod 4, q odd", lambda p, q: p % 4 == 1 and q % 2 == 1, C.RE_EQ_MINUS_IM,
-        printed="q = 1 mod 4, q odd")
-    row(2, "p = 2 mod 4, q even", lambda p, q: p % 4 == 2 and q % 2 == 0, C.IM_ZERO,
-        printed="q = 2 mod 4, q even")
-    row(2, "p = 2 mod 4, q odd", lambda p, q: p % 4 == 2 and q % 2 == 1, C.RE_ZERO,
-        printed="q = 2 mod 4, q odd")
-    row(2, "p = 3 mod 4, q even", lambda p, q: p % 4 == 3 and q % 2 == 0, C.RE_EQ_MINUS_IM,
-        printed="q = 3 mod 4, q even")
-    row(2, "p = 3 mod 4, q odd", lambda p, q: p % 4 == 3 and q % 2 == 1, C.RE_EQ_IM,
-        printed="q = 3 mod 4, q odd")
+    row(2, "p = 0 mod 4, q even", C.RE_ZERO)
+    row(2, "p = 0 mod 4, q odd", C.IM_ZERO)
+    row(2, "p = 1 mod 4, q even", C.RE_EQ_IM, printed="q = 1 mod 4, q even")
+    row(2, "p = 1 mod 4, q odd", C.RE_EQ_MINUS_IM, printed="q = 1 mod 4, q odd")
+    row(2, "p = 2 mod 4, q even", C.IM_ZERO, printed="q = 2 mod 4, q even")
+    row(2, "p = 2 mod 4, q odd", C.RE_ZERO, printed="q = 2 mod 4, q odd")
+    row(2, "p = 3 mod 4, q even", C.RE_EQ_MINUS_IM, printed="q = 3 mod 4, q even")
+    row(2, "p = 3 mod 4, q odd", C.RE_EQ_IM, printed="q = 3 mod 4, q odd")
 
-    row(3, "p = 0 mod 4", lambda p, q: p % 4 == 0, C.RE_ZERO)
-    row(3, "p = 1 mod 4", lambda p, q: p % 4 == 1, C.RE_EQ_IM)
-    row(3, "p = 2 mod 4", lambda p, q: p % 4 == 2, C.IM_ZERO)
-    row(3, "p = 3 mod 4", lambda p, q: p % 4 == 3, C.RE_EQ_MINUS_IM)
+    row(3, "p = 0 mod 4", C.RE_ZERO)
+    row(3, "p = 1 mod 4", C.RE_EQ_IM)
+    row(3, "p = 2 mod 4", C.IM_ZERO)
+    row(3, "p = 3 mod 4", C.RE_EQ_MINUS_IM)
 
-    row(4, "p+q = 0 mod 4, q even", lambda p, q: (p + q) % 4 == 0 and q % 2 == 0, C.RE_ZERO)
-    row(4, "p+q = 0 mod 4, q odd", lambda p, q: (p + q) % 4 == 0 and q % 2 == 1, C.IM_ZERO)
-    row(4, "p+q = 1 mod 4, q even", lambda p, q: (p + q) % 4 == 1 and q % 2 == 0, C.RE_EQ_IM)
-    row(4, "p+q = 1 mod 4, q odd", lambda p, q: (p + q) % 4 == 1 and q % 2 == 1, C.RE_EQ_MINUS_IM)
-    row(4, "p+q = 2 mod 4, q even", lambda p, q: (p + q) % 4 == 2 and q % 2 == 0, C.IM_ZERO)
-    row(4, "p+q = 2 mod 4, q odd", lambda p, q: (p + q) % 4 == 2 and q % 2 == 1, C.RE_ZERO)
-    row(4, "p+q = 3 mod 4, q even", lambda p, q: (p + q) % 4 == 3 and q % 2 == 0, C.RE_EQ_MINUS_IM)
+    row(4, "p+q = 0 mod 4, q even", C.RE_ZERO)
+    row(4, "p+q = 0 mod 4, q odd", C.IM_ZERO)
+    row(4, "p+q = 1 mod 4, q even", C.RE_EQ_IM)
+    row(4, "p+q = 1 mod 4, q odd", C.RE_EQ_MINUS_IM)
+    row(4, "p+q = 2 mod 4, q even", C.IM_ZERO)
+    row(4, "p+q = 2 mod 4, q odd", C.RE_ZERO)
+    row(4, "p+q = 3 mod 4, q even", C.RE_EQ_MINUS_IM)
     # printed condition: Im(b) = Im(b) -- vacuously true, so the row as
     # published constrains nothing; the true constraint is computed instead
-    row(4, "p+q = 3 mod 4, q odd", lambda p, q: (p + q) % 4 == 3 and q % 2 == 1, None, tautology=True)
+    row(4, "p+q = 3 mod 4, q odd", None, tautology=True)
 
-    row(5, "q = 0 mod 4, p+q even", lambda p, q: q % 4 == 0 and (p + q) % 2 == 0, C.RE_ZERO)
-    row(5, "q = 0 mod 4, p+q odd", lambda p, q: q % 4 == 0 and (p + q) % 2 == 1, C.IM_ZERO)
-    row(5, "q = 1 mod 4, p+q even", lambda p, q: q % 4 == 1 and (p + q) % 2 == 0, C.RE_EQ_IM)
-    row(5, "q = 1 mod 4, p+q odd", lambda p, q: q % 4 == 1 and (p + q) % 2 == 1, C.RE_EQ_MINUS_IM)
-    row(5, "q = 2 mod 4, p+q even", lambda p, q: q % 4 == 2 and (p + q) % 2 == 0, C.IM_ZERO)
-    row(5, "q = 2 mod 4, p+q odd", lambda p, q: q % 4 == 2 and (p + q) % 2 == 1, C.RE_ZERO)
-    row(5, "q = 3 mod 4, p+q even", lambda p, q: q % 4 == 3 and (p + q) % 2 == 0, C.RE_EQ_MINUS_IM)
-    row(5, "q = 3 mod 4, p+q odd", lambda p, q: q % 4 == 3 and (p + q) % 2 == 1, C.RE_EQ_IM)
+    row(5, "q = 0 mod 4, p+q even", C.RE_ZERO)
+    row(5, "q = 0 mod 4, p+q odd", C.IM_ZERO)
+    row(5, "q = 1 mod 4, p+q even", C.RE_EQ_IM)
+    row(5, "q = 1 mod 4, p+q odd", C.RE_EQ_MINUS_IM)
+    row(5, "q = 2 mod 4, p+q even", C.IM_ZERO)
+    row(5, "q = 2 mod 4, p+q odd", C.RE_ZERO)
+    row(5, "q = 3 mod 4, p+q even", C.RE_EQ_MINUS_IM)
+    row(5, "q = 3 mod 4, p+q odd", C.RE_EQ_IM)
 
-    row(6, "p+q = 0 mod 4", lambda p, q: (p + q) % 4 == 0, C.RE_ZERO)
-    row(6, "p+q = 1 mod 4", lambda p, q: (p + q) % 4 == 1, C.RE_EQ_MINUS_IM)
-    row(6, "p+q = 2 mod 4", lambda p, q: (p + q) % 4 == 2, C.IM_ZERO)
-    row(6, "p+q = 3 mod 4", lambda p, q: (p + q) % 4 == 3, C.RE_EQ_IM)
+    row(6, "p+q = 0 mod 4", C.RE_ZERO)
+    row(6, "p+q = 1 mod 4", C.RE_EQ_MINUS_IM)
+    row(6, "p+q = 2 mod 4", C.IM_ZERO)
+    row(6, "p+q = 3 mod 4", C.RE_EQ_IM)
 
-    return tuple(rows), preds
+    return tuple(rows)
 
 
-CONSTRAINT_TABLE, _ROW_PREDICATES = _mk_rows()
+CONSTRAINT_TABLE = _mk_rows()
 
 
 def table_report(bound: int = 60) -> List[dict]:

@@ -73,33 +73,28 @@ class LinearPart:
             )
 
 
-# Exact (cos, sin) of 2*pi*k/n for the supported n, as AlgScalar pairs.
+# exact (cos, sin) at 0, 30 and 60 degrees
 _HALF = Fraction(1, 2)
+_BASE_CS = (
+    (AlgScalar(1), AlgScalar(0)),
+    (AlgScalar(0, _HALF, 3), AlgScalar(_HALF)),
+    (AlgScalar(_HALF), AlgScalar(0, _HALF, 3)),
+)
 
 
 def _cs(n: int, k: int) -> Tuple[AlgScalar, AlgScalar]:
-    k %= n
-    table = {
-        (2, 0): (1, 0),
-        (2, 1): (-1, 0),
-        (3, 0): (1, 0),
-        (3, 1): (AlgScalar(-_HALF), AlgScalar(0, _HALF, 3)),
-        (3, 2): (AlgScalar(-_HALF), AlgScalar(0, -_HALF, 3)),
-        (4, 0): (1, 0),
-        (4, 1): (0, 1),
-        (4, 2): (-1, 0),
-        (4, 3): (0, -1),
-        (6, 0): (1, 0),
-        (6, 1): (AlgScalar(_HALF), AlgScalar(0, _HALF, 3)),
-        (6, 2): (AlgScalar(-_HALF), AlgScalar(0, _HALF, 3)),
-        (6, 3): (-1, 0),
-        (6, 4): (AlgScalar(-_HALF), AlgScalar(0, -_HALF, 3)),
-        (6, 5): (AlgScalar(_HALF), AlgScalar(0, -_HALF, 3)),
-    }
-    c, s = table[(n, k)]
-    return AlgScalar(c) if not isinstance(c, AlgScalar) else c, (
-        AlgScalar(s) if not isinstance(s, AlgScalar) else s
-    )
+    """Exact (cos, sin) of 2*pi*k/n, for n dividing 12.
+
+    The angle is t * 30 degrees with t = 12k/n mod 12: the base angle
+    t mod 3, then t // 3 quarter turns (c, s) -> (-s, c).
+    """
+    if n < 1 or 12 % n:
+        raise ValueError(f"n must divide 12, got {n}")
+    t = 12 // n * k % 12
+    c, s = _BASE_CS[t % 3]
+    for _ in range(t // 3):
+        c, s = -s, c
+    return c, s
 
 
 def reflection_block_matrix(n: int, k1: int, k2: int) -> Mat4:
@@ -179,7 +174,7 @@ def solve_involutions(
             assert is_involution(s) and anticommutes(s, a_mat)
             order = element_order(R0 * s)
             assert n % order == 0
-            group_order = 2 * order if order > 1 else 2
+            group_order = 2 * order
             sol = InvolutionSolution(
                 s=s,
                 block_angles=(Fraction(k1, n), Fraction(k2, n)),
@@ -236,8 +231,8 @@ def verify_raw_system(s: Mat4, lin: LinearPart, n: int) -> RawSystemReport:
     """Substitute the 16 entries of s into every equation of the raw system.
 
     The system is generated programmatically from the matrix relations
-    S*A + A*S = 0, S^2 - Id = 0 and the group relation (written as
-    S*R0 - (R0*S)^(n-1) = 0 for n >= 3, and R0*S - S*R0 = 0 for n = 2);
+    S*A + A*S = 0, S^2 - Id = 0 and the group relation
+    S*R0 - (R0*S)^(n-1) = 0;
     evaluating each entry of these matrix expressions at s is exactly the
     substitution of s into the corresponding scalar polynomial equation.
     """
@@ -251,12 +246,8 @@ def verify_raw_system(s: Mat4, lin: LinearPart, n: int) -> RawSystemReport:
 
     record("anticommute", s * a_mat + a_mat * s)
     record("involution", s * s - Mat4.identity())
-    if n == 2:
-        record("group", R0 * s - s * R0)
-    else:
-        p = R0 * s
-        power = p
-        for _ in range(n - 2):
-            power = power * p
-        record("group", s * R0 - power)
+    power = p = R0 * s
+    for _ in range(n - 2):
+        power = power * p
+    record("group", s * R0 - power)
     return RawSystemReport(residuals=tuple(residuals))

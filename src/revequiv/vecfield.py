@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .exactalg import AlgScalar, Mat4, ZERO, scalar
+from .solver import R0
 
 VARS = ("x1", "x2", "y1", "y2")
 
@@ -490,75 +491,33 @@ def check_symmetry(x: PolyVF, phi: Mat4, sign: int) -> SymmetryReport:
     return SymmetryReport(ok=not offending, offending=tuple(offending))
 
 
-# parity-condition families: each identity is f_i(xi) = sign * f_j(T xi),
-# T a signed coordinate permutation, plus vanishing conditions on slices.
-# Transforms are given as signed images of (x1, x2, y1, y2).
+# parity-condition families: each identity reads f_i(xi) = sign * f_j(T xi)
+# for a signed coordinate permutation T, and each family adds vanishing
+# conditions on coordinate slices.  Every family holds the four identities
+# of R0 = diag(1, -1, 1, -1) and four of its own T.
+_R0_IDENTITIES = ((0, -1, 0), (1, +1, 1), (2, -1, 2), (3, +1, 3))
 
-_T_R0 = ((0, 1), (1, -1), (2, 1), (3, -1))  # (x1, -x2, y1, -y2)
-
-
-def _signed_perm_matrix(spec) -> Mat4:
-    rows = []
-    for src, sgn in spec:
-        row = [0, 0, 0, 0]
-        row[src] = sgn
-        rows.append(row)
-    return Mat4(rows)
-
-
-# family -> (list of (i, sign, j, T), list of (components, fixed-zero vars))
-# The identity reads: f_i(xi) = sign * f_j(T xi).
+# family -> (T, its identities (i, sign, j), list of (components,
+# fixed-zero vars))
 PARITY_FAMILIES = {
     "Z2Z2-S1": (
-        [
-            (0, -1, 0, _T_R0),
-            (1, +1, 1, _T_R0),
-            (2, -1, 2, _T_R0),
-            (3, +1, 3, _T_R0),
-            (0, +1, 0, ((0, -1), (1, 1), (2, -1), (3, 1))),
-            (1, -1, 1, ((0, -1), (1, 1), (2, -1), (3, 1))),
-            (2, +1, 2, ((0, -1), (1, 1), (2, -1), (3, 1))),
-            (3, -1, 3, ((0, -1), (1, 1), (2, -1), (3, 1))),
-        ],
+        Mat4.diagonal([-1, 1, -1, 1]),
+        ((0, +1, 0), (1, -1, 1), (2, +1, 2), (3, -1, 3)),
         [((0, 2), (1, 3)), ((1, 3), (0, 2))],
     ),
     "Z2Z2-S2": (
-        [
-            (0, -1, 0, _T_R0),
-            (1, +1, 1, _T_R0),
-            (2, -1, 2, _T_R0),
-            (3, +1, 3, _T_R0),
-            (0, +1, 0, ((0, -1), (1, 1), (2, 1), (3, -1))),
-            (1, -1, 1, ((0, -1), (1, 1), (2, 1), (3, -1))),
-            (2, -1, 2, ((0, -1), (1, 1), (2, 1), (3, -1))),
-            (3, +1, 3, ((0, -1), (1, 1), (2, 1), (3, -1))),
-        ],
+        Mat4.diagonal([-1, 1, 1, -1]),
+        ((0, +1, 0), (1, -1, 1), (2, -1, 2), (3, +1, 3)),
         [((0, 2), (1, 3)), ((1, 2), (0, 3))],
     ),
     "Z2Z2-S3": (
-        [
-            (0, -1, 0, _T_R0),
-            (1, +1, 1, _T_R0),
-            (2, -1, 2, _T_R0),
-            (3, +1, 3, _T_R0),
-            (0, -1, 0, ((0, 1), (1, -1), (2, -1), (3, 1))),
-            (1, +1, 1, ((0, 1), (1, -1), (2, -1), (3, 1))),
-            (2, +1, 2, ((0, 1), (1, -1), (2, -1), (3, 1))),
-            (3, -1, 3, ((0, 1), (1, -1), (2, -1), (3, 1))),
-        ],
+        Mat4.diagonal([1, -1, -1, 1]),
+        ((0, -1, 0), (1, +1, 1), (2, +1, 2), (3, -1, 3)),
         [((0, 2), (1, 3)), ((0, 3), (1, 2))],
     ),
     "D4-S1": (
-        [
-            (0, -1, 0, _T_R0),
-            (1, +1, 1, _T_R0),
-            (2, -1, 2, _T_R0),
-            (3, +1, 3, _T_R0),
-            (0, -1, 1, ((1, 1), (0, 1), (2, 1), (3, -1))),
-            (1, -1, 0, ((1, 1), (0, 1), (2, 1), (3, -1))),
-            (2, -1, 2, ((1, 1), (0, 1), (2, 1), (3, -1))),
-            (3, +1, 3, ((1, 1), (0, 1), (2, 1), (3, -1))),
-        ],
+        Mat4([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]),
+        ((0, -1, 1), (1, -1, 0), (2, -1, 2), (3, +1, 3)),
         # only the odd-slice vanishing of the first and third components is a
         # consequence of the identities here; the mirrored slice condition
         # one might expect for the other two components does not follow (a
@@ -575,18 +534,15 @@ def check_parity_conditions(x: PolyVF, family: str) -> bool:
     conditions on coordinate slices."""
     if family not in PARITY_FAMILIES:
         raise ValueError(f"unknown family {family!r}; known: {sorted(PARITY_FAMILIES)}")
-    identities, vanishing = PARITY_FAMILIES[family]
+    t, identities, vanishing = PARITY_FAMILIES[family]
     f = x.nonlinear().components
-    for i, sgn, j, tspec in identities:
-        t = _signed_perm_matrix(tspec)
-        if f[i] - f[j].substitute_linear(t).scale(sgn) != Poly():
-            return False
+    for m, ids in ((R0, _R0_IDENTITIES), (t, identities)):
+        for i, sgn, j in ids:
+            if f[i] - f[j].substitute_linear(m).scale(sgn) != Poly():
+                return False
     for comps, zvars in vanishing:
         for i in comps:
-            sliced = Poly(
-                {e: c for e, c in f[i].terms.items() if all(e[v] == 0 for v in zvars)}
-            )
-            if not sliced.is_zero():
+            if any(all(e[v] == 0 for v in zvars) for e in f[i].terms):
                 return False
     return True
 

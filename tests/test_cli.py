@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, schemas, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -341,6 +342,21 @@ FLOAT_RADICAL_INVOLUTION = [
 ]
 
 
+# exponent notation, which the rational parser would expand digit by digit
+ALPHA_EXPONENT = ({}, ("classify", "--n", "2", "--alpha", "1e1000000", "--beta", "2"))
+ENTRY_EXPONENT = (
+    {"x.vf": ZERO_FIELD, "s.mat": "1e1000000 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"},
+    ("check", "--field", "x.vf", "--involution", "s.mat"),
+)
+
+# a 1:2 field with the term sqrt(2)*x2^2 in dx1
+IRRATIONAL_FIELD = json.dumps({"max_degree": 3, "components": [
+    [_term([0, 1, 0, 0], {"num": -1, "den": 1}), _term([0, 2, 0, 0], _radical(1, 1, 2))],
+    [_term([1, 0, 0, 0], ONE_JSON)],
+    [_term([0, 0, 0, 1], {"num": -2, "den": 1})],
+    [_term([0, 0, 1, 0], {"num": 2, "den": 1})]]})
+
+
 @pytest.mark.parametrize(
     "files, argv, env",
     [
@@ -391,6 +407,10 @@ FLOAT_RADICAL_INVOLUTION = [
          ("linearize", "--map", "phi.map"), None),
         ({"x.vf": ZERO_FIELD, "s.mat": json.dumps(FLOAT_RADICAL_INVOLUTION)},
          ("check", "--field", "x.vf", "--involution", "s.mat"), None),
+        ({"x.vf": IRRATIONAL_FIELD}, ("normalize", "--field", "x.vf", "--p", "1", "--q", "2"),
+         None),
+        ALPHA_EXPONENT + (None,),
+        ENTRY_EXPONENT + (None,),
     ],
     ids=[
         "field-json-shape", "field-json-syntax", "field-three-components",
@@ -402,6 +422,7 @@ FLOAT_RADICAL_INVOLUTION = [
         "normal-form-degree-0", "normal-form-env-degree-minus-5", "check-degree-0",
         "linearize-degree-minus-1", "field-float-radical", "involution-float-radical",
         "field-radical-other-than-involution", "map-mixed-radicals",
+        "normalize-irrational-coefficient", "alpha-exponent", "involution-entry-exponent",
     ],
 )
 def test_bad_input_is_usage_error(capsys, monkeypatch, tmp_path, files, argv, env):
@@ -412,6 +433,18 @@ def test_bad_input_is_usage_error(capsys, monkeypatch, tmp_path, files, argv, en
     code, _, err = run(capsys, *(str(tmp_path / a) if a in files else a for a in argv))
     assert code == 2
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("files, argv", [ALPHA_EXPONENT, ENTRY_EXPONENT],
+                         ids=["alpha", "involution-entry"])
+def test_exponent_notation_is_rejected_at_once(capsys, tmp_path, files, argv):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, *(str(tmp_path / a) if a in files else a for a in argv))
+    assert code == 2
+    assert time.perf_counter() - t0 < 0.1
+    assert "not a rational number" in err
 
 
 def test_missing_subcommand_is_usage_error(capsys):

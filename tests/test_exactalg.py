@@ -13,6 +13,7 @@ from revequiv.exactalg import (
     is_involution,
     scalar,
 )
+from revequiv.vecfield import Poly
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -62,6 +63,21 @@ def test_non_squarefree_radical_rejected():
 def test_scalar_coercion():
     assert scalar(3) == AlgScalar(3)
     assert scalar(Fraction(2, 5)).as_rational() == Fraction(2, 5)
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, 1.0, True, False, "1/2"])
+def test_inexact_parts_rejected(bad):
+    # a float would be stored as its binary expansion, and a bool is no number
+    with pytest.raises(TypeError):
+        AlgScalar(bad)
+    with pytest.raises(TypeError):
+        AlgScalar(1, bad, 2)
+    with pytest.raises(TypeError):
+        scalar(bad)
+    with pytest.raises(TypeError):
+        Poly.monomial((1, 0, 0, 0), bad)
+    with pytest.raises(TypeError):
+        Mat4.diagonal([1, 1, 1, bad])
 
 
 def test_known_quadratic_arithmetic():

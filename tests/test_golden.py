@@ -95,6 +95,24 @@ GOLDEN = [
         0,
         "494a6b941c8de3bd284006538ac307098c899c150abecf38e1fe943a089fdd44",
     ),
+    # every constraint-table row's hypothesis and witness
+    (
+        ("tables", "--json"),
+        0,
+        "244799beeef3df4bcb0f284a091954fa84d304bf41fa3d35192080fd61c5204c",
+    ),
+    # the sqrt(3) angles of the order-6 reflections
+    (
+        ("solve-involutions", "--n", "6", "--alpha", "1", "--beta", "2", "--latex"),
+        0,
+        "5bec85c38a0da844545db50749ae9df36e90aaf74f94fe85f064d8f69e532855",
+    ),
+    # phi_2 has global sign -1
+    (
+        ("oracle", "--p", "1", "--q", "2", "--group", "2", "--degree", "6", "--json"),
+        0,
+        "ed87de255c3eab64526ec0e17eaa772e36efaf5db4dd48d5f4c47647a8697e7a",
+    ),
 ]
 
 

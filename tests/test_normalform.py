@@ -1,9 +1,11 @@
 """Survival analysis, constraint tables, oracle, normalization."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import NO_SYMMETRY_FIELD, random_reversible_field, seeded_rng
 from revequiv.normalform import (
@@ -30,7 +32,7 @@ from revequiv.normalform import (
 )
 from revequiv.groups import generate_closure
 from revequiv.solver import R0, solve_involutions, LinearPart, partition_by_group
-from revequiv.vecfield import Poly, PolyVF, check_symmetry, conjugate
+from revequiv.vecfield import Poly, PolyMap, PolyVF, check_symmetry, conjugate
 
 
 # -- resonance enumeration --------------------------------------------------
@@ -145,6 +147,17 @@ def test_table_rows_reproduce_stated_constraints():
     assert len(checked) >= 30
     for r in checked:
         assert r["agrees"], r
+
+
+def test_hypothesis_text_is_evaluated_clause_by_clause():
+    rows = {(r.phi_index, r.hypothesis): r for r in CONSTRAINT_TABLE}
+    holds = rows[(2, "p = 1 mod 4, q even")].hypothesis_holds
+    assert holds(1, 2) and holds(5, 6) and holds(9, 4)
+    assert not holds(1, 3) and not holds(3, 2) and not holds(2, 4)
+    holds = rows[(4, "p+q = 3 mod 4, q odd")].hypothesis_holds
+    assert holds(2, 1) and holds(4, 3) and not holds(1, 2) and not holds(3, 1)
+    assert rows[(0, "p+q odd")].hypothesis_holds(1, 2)
+    assert not rows[(0, "p+q odd")].hypothesis_holds(1, 3)
 
 
 def test_tautology_row_flagged_with_computed_constraint():
@@ -367,6 +380,19 @@ def test_normalize_reversible_field_end_to_end():
     nf2, h2 = belitskii_normalize(nf, spec, 4)
     assert nf2 == nf
     assert all(h2.components[i] == Poly.variable(i) for i in range(4))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([(1, 2), (2, 3)]), st.integers(1, 6), st.integers(0, 2**32))
+def test_normalization_is_idempotent_on_resonant_fields(pq, j, seed):
+    # the off-diagonal resonant terms ~z1^(q-1) z2^p d/dz1 start at degree 2
+    # for 1:2 and at degree 4 for 2:3, but only at degree 7 for 3:5
+    spec = ResonanceSpec(*pq)
+    x = random_reversible_field(random.Random(seed), spec, real_group_representative(j), 4)
+    nf, _ = belitskii_normalize(x, spec, 4)
+    nf2, h2 = belitskii_normalize(nf, spec, 4)
+    assert nf2 == nf
+    assert h2 == PolyMap.identity(4)
 
 
 def test_normalize_field_without_detected_symmetry():

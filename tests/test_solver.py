@@ -16,12 +16,28 @@ from revequiv.solver import (
     reflection_block_matrix,
     solve_involutions,
     verify_raw_system,
+    _cs,
 )
 
 LIN = LinearPart(Fraction(1), Fraction(2))
 
 HALF = Fraction(1, 2)
 ROOT3_HALF = AlgScalar(0, HALF, 3)
+
+
+def test_angle_table_covers_every_n_dividing_12():
+    # 2*pi/12 is 30 degrees, and 2*pi*5/12 is 150 degrees
+    assert _cs(12, 1) == (ROOT3_HALF, AlgScalar(HALF))
+    assert _cs(12, 5) == (-ROOT3_HALF, AlgScalar(HALF))
+    assert _cs(1, 7) == (AlgScalar(1), AlgScalar(0))
+    assert _cs(6, -1) == _cs(6, 5) == (AlgScalar(HALF), -ROOT3_HALF)
+    for n in (12, 6, 4, 3, 2, 1):
+        for k in range(n):
+            c, s = _cs(n, k)
+            assert c * c + s * s == AlgScalar(1)
+    for n in (5, 8, 0, -3):
+        with pytest.raises(ValueError):
+            _cs(n, 1)
 
 
 def test_counts_per_order():
