@@ -30,7 +30,7 @@ from typing import List
 from .exactalg import IncompatibleRadicals, Mat4, is_involution
 from .groups import is_dihedral, sign_assignment
 from .normalform import (
-    MixedResonantTerms,
+    NormalizationError,
     ResonanceSpec,
     belitskii_normalize,
     brute_force_kernel,
@@ -52,7 +52,6 @@ from .solver import (
 )
 from .vecfield import (
     FieldFormatError,
-    NotAnInvolution,
     PolyMap,
     PolyVF,
     check_symmetry,
@@ -187,6 +186,16 @@ def _rat(text: str) -> Fraction:
     raise UsageError(f"not a rational number: {text!r}")
 
 
+def _checked(make, *values):
+    """make(*values), with the ValueError of a value it rejects as a usage
+    error: a zero frequency, or p and q that are not coprime, positive and
+    distinct (the 1:1 case is deeply degenerate)."""
+    try:
+        return make(*values)
+    except ValueError as e:
+        raise UsageError(str(e))
+
+
 def _latex_rational(f: Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
@@ -244,7 +253,7 @@ def _class_labels(classes, n: int) -> List[str]:
 
 
 def cmd_solve_involutions(args) -> int:
-    lin = LinearPart(_rat(args.alpha), _rat(args.beta))
+    lin = _checked(LinearPart, _rat(args.alpha), _rat(args.beta))
     include = not args.exclude_degenerate
     sols = solve_involutions(lin, args.n, include_degenerate=include)
     nondeg = [s for s in sols if not s.degenerate]
@@ -277,7 +286,7 @@ def cmd_solve_involutions(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    lin = LinearPart(_rat(args.alpha), _rat(args.beta))
+    lin = _checked(LinearPart, _rat(args.alpha), _rat(args.beta))
     sols = solve_involutions(lin, args.n, include_degenerate=False)
     classes = partition_by_group(sols)
     a_mat = lin.matrix()
@@ -337,19 +346,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_normal_form(args) -> int:
-    spec = _resonance(args)
+    spec = _checked(ResonanceSpec, args.p, args.q)
     degree = _degree(args)
     r = survival_analysis(spec, args.group, degree)
     if args.json:
         print(json.dumps(r.to_json(), indent=2))
         return 0
     if args.latex:
-        try:
-            t = emit_real_normal_form(r)
-        except MixedResonantTerms as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
-        print(t.as_latex())
+        print(emit_real_normal_form(r).as_latex())
         return 0
     print(f"p:q = {spec.p}:{spec.q}, group {args.group}, degree <= {degree}")
     hyp = r.hypothesis_status
@@ -366,7 +370,7 @@ def cmd_normal_form(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    spec = _resonance(args)
+    spec = _checked(ResonanceSpec, args.p, args.q)
     # the oracle starts at degree 2: below it there is nothing to report
     degree = _degree(args, minimum=2)
     res = brute_force_kernel(spec, args.group, degree)
@@ -380,16 +384,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    spec = _resonance(args)
+    spec = _checked(ResonanceSpec, args.p, args.q)
     degree = _degree(args)
     x = load_field(args.field, degree)
     if any(c.d for comp in x.components for c in comp.terms.values()):
         raise UsageError("normalize takes rational coefficients only")
-    try:
-        nf, change = belitskii_normalize(x, spec, degree)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    nf, change = belitskii_normalize(x, spec, degree)
     if args.json:
         print(
             json.dumps(
@@ -407,11 +407,7 @@ def cmd_normalize(args) -> int:
 def cmd_linearize(args) -> int:
     degree = _degree(args)
     phi = load_map(args.map, degree)
-    try:
-        h = linearize_involution(phi, degree)
-    except NotAnInvolution as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    h = linearize_involution(phi, degree)
     if args.json:
         print(json.dumps({"change": h.to_json()}, indent=2))
     else:
@@ -435,15 +431,6 @@ def cmd_tables(args) -> int:
                 status += f"  [DISAGREES with stated {row['stated']}]"
         print(f"phi{row['phi']}  {row['hypothesis']:28}  stated={row['stated']}  {status}")
     return 0
-
-
-def _resonance(args) -> ResonanceSpec:
-    try:
-        return ResonanceSpec(args.p, args.q)
-    except ValueError as e:
-        # non-coprime or equal frequencies fall outside the resonant
-        # p:q theory (irrational and 1:1 ratios are deeply degenerate)
-        raise UsageError(str(e))
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +536,12 @@ def main(argv=None) -> int:
         # only input files bring in a radical other than sqrt(3)
         print(f"usage error: the inputs mix quadratic fields, {e}", file=sys.stderr)
         return 2
+    except (ValueError, NormalizationError) as e:
+        # a mathematical failure: mixed resonant terms for --latex, a linear
+        # part other than the requested rotation, a map that is no
+        # involution, a homological equation without a solution
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -41,11 +41,7 @@ class AlgScalar:
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, a: ScalarLike = 0, b: ScalarLike = 0, d: int = 0):
-        if isinstance(a, AlgScalar):
-            if b != 0:
-                raise TypeError("cannot nest AlgScalar with a radical part")
-            a, b, d = a.a, a.b, a.d
+    def __init__(self, a: Rational | int = 0, b: Rational | int = 0, d: int = 0):
         if type(d) is not int:
             raise ValueError(f"d must be an integer, got {d!r}")
         # exact parts only, no float and no bool; Fractions are kept as they are

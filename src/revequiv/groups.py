@@ -94,14 +94,14 @@ def generate_closure(gens: Sequence[Mat4], cap: int = DEFAULT_CAP) -> MatGroup:
     return MatGroup(elements=elements)
 
 
-def element_order(m: Mat4, cap: int = DEFAULT_CAP) -> int:
+def element_order(m: Mat4) -> int:
     p = m
     n = 1
     ident = Mat4.identity()
     while p != ident:
         p = p * m
         n += 1
-        if n > cap:
+        if n > DEFAULT_CAP:
             raise ClosureCapExceeded("element order exceeds cap")
     return n
 

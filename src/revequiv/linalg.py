@@ -22,9 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 Row = List[Fraction]
 
 
-def _primitive(row: Sequence) -> Optional[Tuple[int, ...]]:
+def _primitive(row: Sequence[Fraction | int]) -> Optional[Tuple[int, ...]]:
     """The primitive integer multiple of a rational row, or None if it is zero."""
-    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     den = lcm(*(x.denominator for x in row))
     ints = [x.numerator * (den // x.denominator) for x in row]
     g = gcd(*ints)

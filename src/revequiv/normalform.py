@@ -130,9 +130,6 @@ def resonant_monomials(spec: ResonanceSpec, degree: int) -> List[ResMonomial]:
 # antiholomorphic involutions and coefficient constraints
 # ---------------------------------------------------------------------------
 
-_UNIT_NAMES = {0: "1", 1: "i", 2: "-1", 3: "-i"}
-
-
 @dataclass(frozen=True)
 class RevInvolution:
     """(z1, z2) -> global_sign * (eps1 * conj(z1), eps2 * conj(z2)).
@@ -158,10 +155,6 @@ class RevInvolution:
         sign -1 adds i^2 to both units."""
         k = 0 if self.global_sign == 1 else 2
         return reflection_block_matrix(4, self.eps1 + k, self.eps2 + k)
-
-    def __str__(self) -> str:
-        s = "-" if self.global_sign < 0 else ""
-        return f"{self.tag}: (z1,z2) -> {s}({_UNIT_NAMES[self.eps1]}*~z1, {_UNIT_NAMES[self.eps2]}*~z2)"
 
 
 # The canonical reversor in complex coordinates: conj corresponds entrywise
@@ -434,15 +427,6 @@ class RealNormalForm:
                 "\\end{array}\\right.",
             ]
         )
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.spec.p,
-            "q": self.spec.q,
-            "degree": self.degree,
-            "a_indices": [list(t) for t in self.a_indices],
-            "b_indices": [list(t) for t in self.b_indices],
-        }
 
 
 def emit_real_normal_form(r: NormalFormResult) -> RealNormalForm:
@@ -786,6 +770,8 @@ def table_monomial(spec: ResonanceSpec) -> ResMonomial:
 
 
 _CLAUSE_RE = re.compile(r"(p\+q|p|q) (?:= (\d) mod 4|(even|odd))")
+# a row's witness (p, q) is searched for with p + q up to this bound
+_PAIR_BOUND = 60
 
 
 @dataclass(frozen=True)
@@ -818,10 +804,10 @@ class ConstraintTableRow:
                 return False
         return True
 
-    def minimal_pair(self, bound: int = 60) -> Optional[ResonanceSpec]:
+    def minimal_pair(self) -> Optional[ResonanceSpec]:
         """Smallest coprime (p, q) with p != q satisfying the hypothesis,
-        ordered by p+q then p; None if unsatisfiable within the bound."""
-        for s in range(3, bound + 1):
+        ordered by p+q then p; None if unsatisfiable within _PAIR_BOUND."""
+        for s in range(3, _PAIR_BOUND + 1):
             for p in range(1, s):
                 q = s - p
                 if p == q or gcd(p, q) != 1:
@@ -894,12 +880,12 @@ def _mk_rows():
 CONSTRAINT_TABLE = _mk_rows()
 
 
-def table_report(bound: int = 60) -> List[dict]:
+def table_report() -> List[dict]:
     """Evaluate every published row: satisfiability, witness (p, q), the
     computed constraint there, and agreement with the stated one."""
     out = []
     for r in CONSTRAINT_TABLE:
-        spec = r.minimal_pair(bound)
+        spec = r.minimal_pair()
         entry = {
             "phi": r.phi_index,
             "hypothesis": r.hypothesis,

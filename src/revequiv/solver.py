@@ -219,13 +219,6 @@ class RawSystemReport:
     def failing(self) -> List[str]:
         return [name for name, r in self.residuals if not r.is_zero()]
 
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "failing": self.failing,
-            "n_equations": len(self.residuals),
-        }
-
 
 def verify_raw_system(s: Mat4, lin: LinearPart, n: int) -> RawSystemReport:
     """Substitute the 16 entries of s into every equation of the raw system.

@@ -398,14 +398,17 @@ class PolyMap(_Components):
         deg = self.max_degree
         lin = self.linear_part()
         lin_inv = _mat_inverse(lin)
-        ident = [Poly.variable(i) for i in range(4)]
         higher = [c - l for c, l in zip(self.components, _linear_forms(lin))]
-        # iterate g <- Linv(x - higher(g)); degree-k coefficients stabilize
-        # after k iterations
-        g = _linear_forms(lin_inv)
+        # iterate g <- Linv(x) - n(g) with n = Linv(higher); degree-k
+        # coefficients stabilize after k iterations, and once an iterate
+        # repeats so do all later ones
+        n = _apply(lin_inv, higher)
+        g = first = _linear_forms(lin_inv)
         for _ in range(deg):
-            hg = [h.substitute(g, deg) for h in higher]
-            g = _apply(lin_inv, [ident[i] - hg[i] for i in range(4)])
+            nxt = [f - h.substitute(g, deg) for f, h in zip(first, n)]
+            if nxt == g:
+                break
+            g = nxt
         return PolyMap(g, deg)
 
 

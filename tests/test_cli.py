@@ -411,6 +411,9 @@ IRRATIONAL_FIELD = json.dumps({"max_degree": 3, "components": [
          None),
         ALPHA_EXPONENT + (None,),
         ENTRY_EXPONENT + (None,),
+        ({}, ("classify", "--n", "2", "--alpha", "0", "--beta", "2"), None),
+        ({}, ("solve-involutions", "--n", "2", "--alpha", "1", "--beta", "0"), None),
+        ({}, ("classify", "--n", "2", "--alpha", "-0", "--beta", "2"), None),
     ],
     ids=[
         "field-json-shape", "field-json-syntax", "field-three-components",
@@ -423,6 +426,7 @@ IRRATIONAL_FIELD = json.dumps({"max_degree": 3, "components": [
         "linearize-degree-minus-1", "field-float-radical", "involution-float-radical",
         "field-radical-other-than-involution", "map-mixed-radicals",
         "normalize-irrational-coefficient", "alpha-exponent", "involution-entry-exponent",
+        "alpha-zero", "beta-zero", "alpha-minus-zero",
     ],
 )
 def test_bad_input_is_usage_error(capsys, monkeypatch, tmp_path, files, argv, env):
@@ -447,6 +451,43 @@ def test_exponent_notation_is_rejected_at_once(capsys, tmp_path, files, argv):
     assert "not a rational number" in err
 
 
+# one input for each error handler: the exact stderr line and exit code
+LINEAR_1_3 = json.dumps(PolyVF.from_linear(ResonanceSpec(1, 3).linear_matrix(), 3).to_json())
+
+
+@pytest.mark.parametrize(
+    "files, argv, code, line",
+    [
+        ({}, ("classify", "--n", "2", "--alpha", "1e5", "--beta", "2"), 2,
+         "usage error: not a rational number: '1e5'"),
+        ({}, ("classify", "--n", "2", "--alpha", "1", "--beta", "-1"), 2,
+         "unsupported case: degenerate resonance, block reduction invalid: |alpha| == |beta|"),
+        ({"x.vf": CUBIC_FIELD}, ("linearize", "--map", "x.vf"), 2,
+         "field format error: unknown component 'dx1'"),
+        ({"x.vf": json.dumps({"max_degree": 3, "components": [
+            [_term([2, 0, 0, 0], _radical(1, 1, 2))], [], [], []]})},
+         ("check", "--field", "x.vf", "--involution", "builtin:S1@n3"), 2,
+         "usage error: the inputs mix quadratic fields, sqrt(3) vs sqrt(2)"),
+        ({}, ("normal-form", "--p", "1", "--q", "2", "--group", "5", "--degree", "4", "--latex"),
+         1, "error: mixed resonant terms present; no pure Delta1/Delta2 emission: "
+            "~z1*z2 d/dz1 with ReZero"),
+        ({"x.vf": LINEAR_1_3},
+         ("normalize", "--field", "x.vf", "--p", "1", "--q", "2", "--degree", "3"), 1,
+         "error: field's linear part is not the requested resonant rotation"),
+        ({"phi.map": "x1 = x1 + x2^2\nx2 = x2\ny1 = y1\ny2 = y2\n"},
+         ("linearize", "--map", "phi.map", "--degree", "4"), 1,
+         "error: phi is not an involution up to the requested degree"),
+    ],
+    ids=["usage", "unsupported-case", "field-format", "mixed-radicals", "mixed-resonant-terms",
+         "wrong-linear-part", "not-an-involution"],
+)
+def test_error_line_and_exit_code(capsys, tmp_path, files, argv, code, line):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    got = run(capsys, *(str(tmp_path / a) if a in files else a for a in argv))
+    assert got == (code, "", line + "\n")
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
@@ -468,3 +509,15 @@ def test_output_is_deterministic(capsys, argv):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_normalization_error_exits_one(capsys, monkeypatch, tmp_path):
+    # a homological equation without a solution is a mathematical failure
+    monkeypatch.setattr("revequiv.normalform.linalg.solve", lambda rows, target: None)
+    (tmp_path / "x.vf").write_text(CUBIC_FIELD)
+    code, _, err = run(
+        capsys, "normalize", "--field", str(tmp_path / "x.vf"), "--p", "1", "--q", "2",
+        "--degree", "3",
+    )
+    assert code == 1
+    assert err.startswith("error: homological splitting failed at degree 3")

@@ -1,5 +1,6 @@
-"""Fuzzing the CLI file readers: whatever a field, map or involution file
-holds, ``main`` returns a documented exit code and prints no traceback."""
+"""Fuzzing the CLI readers: whatever a field, map or involution file or a
+number flag holds, ``main`` returns a documented exit code and prints no
+traceback."""
 
 import contextlib
 import io
@@ -104,15 +105,19 @@ def fuzz_dir(tmp_path_factory):
     return directory
 
 
-def run_on_file(directory, text, *argv):
-    """main(argv) with FILE replaced by a file holding text; the exit code
-    and stderr."""
-    path = directory / "input"
-    path.write_text(text)
+def run_main(argv):
+    """main(argv); the exit code and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([str(path) if a == "FILE" else a for a in argv])
+        code = main(list(argv))
     return code, err.getvalue()
+
+
+def run_on_file(directory, text, *argv):
+    """main(argv) with FILE replaced by a file holding text."""
+    path = directory / "input"
+    path.write_text(text)
+    return run_main(str(path) if a == "FILE" else a for a in argv)
 
 
 @FUZZ
@@ -138,6 +143,39 @@ def test_map_reader_never_crashes(fuzz_dir, text):
 def test_involution_reader_never_crashes(fuzz_dir, text):
     code, err = run_on_file(
         fuzz_dir, text, "check", "--field", str(fuzz_dir / "cubic.vf"), "--involution", "FILE"
+    )
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+# number flags: small values, their edges and junk; "--flag=value" keeps a
+# leading minus sign from reading as an option
+rationals = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.builds("{}/{}".format, st.integers(-3, 3), st.integers(0, 3)),
+    st.sampled_from(["-0", "1.5", "1e2", "x", ""]),
+)
+
+
+def ints(lo, hi):
+    return st.one_of(st.integers(lo, hi).map(str), st.sampled_from(["x", "", "1.5"]))
+
+
+@FUZZ
+@given(st.sampled_from(["classify", "solve-involutions"]),
+       st.sampled_from(["2", "5", "0", "-2", "x"]), rationals, rationals)
+def test_frequency_flags_never_crash(command, n, alpha, beta):
+    code, err = run_main([command, f"--n={n}", f"--alpha={alpha}", f"--beta={beta}"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@FUZZ
+@given(st.sampled_from(["normal-form", "oracle"]), ints(-2, 6), ints(-2, 6), ints(-2, 6),
+       ints(-1, 4))
+def test_resonance_flags_never_crash(command, p, q, group, degree):
+    code, err = run_main(
+        [command, f"--p={p}", f"--q={q}", f"--group={group}", f"--degree={degree}"]
     )
     assert code in (0, 1, 2)
     assert "Traceback" not in err

@@ -63,6 +63,9 @@ def test_non_squarefree_radical_rejected():
 def test_scalar_coercion():
     assert scalar(3) == AlgScalar(3)
     assert scalar(Fraction(2, 5)).as_rational() == Fraction(2, 5)
+    # scalar() passes an AlgScalar through; the constructor takes only parts
+    with pytest.raises(TypeError):
+        AlgScalar(AlgScalar(3))
 
 
 @pytest.mark.parametrize("bad", [0.1, 0.5, 1.0, True, False, "1/2"])

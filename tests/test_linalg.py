@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from revequiv import linalg
@@ -115,3 +116,10 @@ def test_empty_and_inconsistent_inputs():
     assert linalg.solve([], []) is None
     assert linalg.solve([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
                         [Fraction(1), Fraction(3)]) is None
+
+
+def test_float_entries_are_rejected():
+    # a float would otherwise become its binary expansion
+    for rows in ([[0.5, 1]], [[1, 0], [0, 1.0]]):
+        with pytest.raises(AttributeError):
+            linalg.rref(rows)
