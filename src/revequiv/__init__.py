@@ -29,7 +29,6 @@ from .groups import (
     sign_assignment,
 )
 from .normalform import (
-    CONJ,
     PHI,
     CoeffConstraint,
     MixedResonantTerms,
@@ -78,7 +77,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgScalar",
-    "CONJ",
     "ClosureCapExceeded",
     "CoeffConstraint",
     "DegenerateResonance",

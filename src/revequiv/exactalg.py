@@ -175,12 +175,15 @@ class AlgScalar:
 
     @staticmethod
     def from_json(obj) -> "AlgScalar":
+        def rational(r) -> Fraction:
+            if type(r["num"]) is not int or type(r["den"]) is not int:
+                raise ValueError(f"num and den must be integers, got {r!r}")
+            return Fraction(r["num"], r["den"])
+
         if isinstance(obj, dict) and "num" in obj:
-            return AlgScalar(Fraction(obj["num"], obj["den"]))
+            return AlgScalar(rational(obj))
         if isinstance(obj, dict) and "a" in obj:
-            a = Fraction(obj["a"]["num"], obj["a"]["den"])
-            b = Fraction(obj["b"]["num"], obj["b"]["den"])
-            return AlgScalar(a, b, obj["d"])
+            return AlgScalar(rational(obj["a"]), rational(obj["b"]), obj["d"])
         raise ValueError(f"not a scalar encoding: {obj!r}")
 
 

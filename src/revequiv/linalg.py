@@ -103,7 +103,7 @@ def solve(rows: List[Row], rhs: Row) -> Optional[Row]:
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [list(r) + [Fraction(b)] for r, b in zip(rows, rhs)]
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     red, pivots = rref(aug)
     if ncols in pivots:
         return None  # inconsistent: pivot in the augmented column

@@ -4,7 +4,9 @@ Two independent routes to the same answer:
 
 * the complex route: enumerate resonant monomials z1^a zbar1^b z2^c zbar2^d
   and derive, for each antiholomorphic linear involution, the coefficient
-  constraint it forces (purely imaginary, purely real, Re = +-Im, or zero);
+  constraint it forces (purely imaginary, purely real or Re = +-Im); the
+  survivors of (conj, phi_j) are those that phi_j, like conj, makes purely
+  imaginary;
 
 * the real route (the oracle): assemble, over Q, the kernel of the adjoint
   homological operator intersected with the two linear reversibility
@@ -23,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .exactalg import Mat4
@@ -132,52 +134,30 @@ def resonant_monomials(spec: ResonanceSpec, degree: int) -> List[ResMonomial]:
 
 @dataclass(frozen=True)
 class RevInvolution:
-    """(z1, z2) -> global_sign * (eps1 * conj(z1), eps2 * conj(z2)).
+    """(z1, z2) -> (i^eps1 * conj(z1), i^eps2 * conj(z2)), an involution of C^2.
 
-    Units are stored as exponents of i (0..3); global_sign is +-1.  Any such
-    map is an involution of C^2.
+    The units are stored as exponents of i; only their residues mod 4 matter.
     """
 
-    tag: str
-    eps1: int  # exponent of i, mod 4
+    eps1: int
     eps2: int
-    global_sign: int
-
-    def __post_init__(self):
-        if self.global_sign not in (-1, 1):
-            raise ValueError("global_sign must be +-1")
-        object.__setattr__(self, "eps1", self.eps1 % 4)
-        object.__setattr__(self, "eps2", self.eps2 % 4)
 
     def real_form(self) -> Mat4:
         """The same map on (x1, x2, y1, y2), z1 = x1 + i x2, z2 = y1 + i y2:
-        z -> i^k conj(z) is the reflection at angle k*pi/2, and the global
-        sign -1 adds i^2 to both units."""
-        k = 0 if self.global_sign == 1 else 2
-        return reflection_block_matrix(4, self.eps1 + k, self.eps2 + k)
+        z -> i^k conj(z) is the reflection at angle k*pi/2."""
+        return reflection_block_matrix(4, self.eps1, self.eps2)
 
-
-# The canonical reversor in complex coordinates: conj corresponds entrywise
-# to the real involution diag(1,-1,1,-1).
-CONJ = RevInvolution("conj", 0, 0, +1)
 
 # The seven reflections phi_0..phi_6.  phi_1..phi_6 convert, in real
 # coordinates, to members of the six dihedral solution classes (one per
-# class), which is validated in the tests.  phi_0 is -conj = -diag(1,-1,1,-1);
-# note that -conj is NOT an element of the groups <diag(1,-1,1,-1), S_j> for
-# j in {1,2,3,5}, and using it as the first reversor instead of conj swaps
-# the classes 1<->5 and 2<->3.  The survival analysis therefore uses CONJ;
-# phi_0 is kept for checking the published-style constraint tables, which
-# were derived with it.
-PHI = {
-    0: RevInvolution("phi0", 0, 0, -1),
-    1: RevInvolution("phi1", 1, 0, +1),
-    2: RevInvolution("phi2", 0, 3, -1),
-    3: RevInvolution("phi3", 0, 1, +1),
-    4: RevInvolution("phi4", 3, 3, -1),
-    5: RevInvolution("phi5", 3, 0, -1),
-    6: RevInvolution("phi6", 1, 3, +1),
-}
+# class), which is validated in the tests.  phi_0 = -conj = -diag(1,-1,1,-1)
+# is NOT an element of the groups <diag(1,-1,1,-1), S_j> for j in
+# {1,2,3,5}; using it as the first reversor instead of conj swaps the
+# classes 1<->5 and 2<->3.  The survival analysis therefore pairs phi_j with
+# conj = (0, 0), the complex form of diag(1,-1,1,-1); phi_0 is kept for
+# checking the published-style constraint tables, which were derived with it.
+PHI = {j: RevInvolution(*units) for j, units in
+       enumerate([(2, 2), (1, 0), (2, 1), (0, 1), (1, 1), (1, 2), (1, 3)])}
 
 GROUP_INDICES = (1, 2, 3, 4, 5, 6)
 
@@ -206,17 +186,6 @@ class CoeffConstraint(Enum):
             return 0
         return 1
 
-    def meet(self, other: "CoeffConstraint") -> "CoeffConstraint":
-        """Conjunction of two constraints on the same coefficient."""
-        if self is other:
-            return self
-        if self is CoeffConstraint.FREE:
-            return other
-        if other is CoeffConstraint.FREE:
-            return self
-        # two distinct chi-relations conj(b) = chi_k b force b = 0
-        return CoeffConstraint.ZERO
-
 
 _CHI_TO_CONSTRAINT = {
     0: CoeffConstraint.IM_ZERO,  # chi = 1
@@ -230,26 +199,14 @@ def reversibility_unit(m: ResMonomial, phi: RevInvolution) -> int:
     """Exponent e with conj(coefficient) = i^e * coefficient forced by
     phi-reversibility of the monomial field."""
     a, b, c, d = m.exps
-    n = m.degree
-    s = 0 if phi.global_sign == 1 else 2
     kj = phi.eps1 if m.component == 1 else phi.eps2
-    # chi = -(sigma^(N-1)) eps1^(a-b) eps2^(c-d) conj(eps_j)
-    e = 2 + s * (n - 1) + phi.eps1 * (a - b) + phi.eps2 * (c - d) - kj
-    return e % 4
+    # chi = -eps1^(a-b) eps2^(c-d) conj(eps_j)
+    return (2 + phi.eps1 * (a - b) + phi.eps2 * (c - d) - kj) % 4
 
 
 def constraint_for(m: ResMonomial, phi: RevInvolution) -> CoeffConstraint:
     """The coefficient constraint that phi-reversibility forces on m."""
     return _CHI_TO_CONSTRAINT[reversibility_unit(m, phi)]
-
-
-def conjoin_constraints(
-    m: ResMonomial, reversors: Iterable[RevInvolution]
-) -> CoeffConstraint:
-    out = CoeffConstraint.FREE
-    for phi in reversors:
-        out = out.meet(constraint_for(m, phi))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,32 +279,32 @@ class NormalFormResult:
 
 
 def survival_analysis(
-    spec: ResonanceSpec,
-    group_index: int,
-    degree: int,
-    reversors: Optional[Sequence[RevInvolution]] = None,
+    spec: ResonanceSpec, group_index: int, degree: int
 ) -> NormalFormResult:
-    """Conjoin the coefficient constraints of the two generating reversors
-    over every resonant monomial; monomials whose constraint collapses to
-    Zero are dropped.
+    """The resonant monomials that survive reversibility under the pair
+    (conj, phi_j), each with the constraint on its coefficient.
 
-    The default reversor pair is (conj, phi_j): conj is the complex form of
-    the canonical real involution fixed by the classification.
+    conj = RevInvolution(0, 0) is the complex form of the canonical real
+    involution fixed by the classification.  reversibility_unit(m, conj) is
+    2 for every m, so conj alone makes every coefficient purely imaginary,
+    and no reversor leaves a coefficient Free: the pair keeps m, as ReZero,
+    iff phi_j forces ReZero on it too, and forces Zero otherwise.  The
+    survivors are thus exactly the resonant monomials that the rotation
+    R0*S_j = conj o phi_j fixes.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    if reversors is None:
-        if group_index not in GROUP_INDICES:
-            raise ValueError("group index must be 1..6")
-        reversors = (CONJ, PHI[group_index])
-    surviving = []
-    for m in resonant_monomials(spec, degree):
-        c = conjoin_constraints(m, reversors)
-        if c is not CoeffConstraint.ZERO:
-            surviving.append((m, c))
+    if group_index not in GROUP_INDICES:
+        raise ValueError("group index must be 1..6")
+    phi = PHI[group_index]
+    surviving = tuple(
+        (m, CoeffConstraint.RE_ZERO)
+        for m in resonant_monomials(spec, degree)
+        if constraint_for(m, phi) is CoeffConstraint.RE_ZERO
+    )
     status = dict(relaxed_hypothesis(spec))
     result = NormalFormResult(
-        surviving=tuple(surviving),
+        surviving=surviving,
         degree=degree,
         spec=spec,
         group_index=group_index,
@@ -610,19 +567,14 @@ class OracleResult:
 
 
 def brute_force_kernel(
-    spec: ResonanceSpec,
-    group_index: int,
-    degree: int,
-    sign: int = -1,
-    min_degree: int = 2,
+    spec: ResonanceSpec, group_index: int, degree: int
 ) -> OracleResult:
-    """Exact dimension and basis, per degree, of
+    """Exact dimension and basis, per degree from 2, of
 
         ker L_{A^T}  intersect  {reversible under diag(1,-1,1,-1)}
                      intersect  {reversible under S_group}
 
-    assembled entirely in real coordinates over Q.  ``sign=+1`` switches to
-    the pure-equivariance sanity mode.
+    assembled entirely in real coordinates over Q.
 
     Each invariant block (component pair x bidegree) is solved on its own:
     the integer matrices of L_{A^T} and of the two reversibility defects are
@@ -634,11 +586,11 @@ def brute_force_kernel(
     s_real = real_group_representative(group_index)
     dims: Dict[int, int] = {}
     bases: Dict[int, List[PolyVF]] = {}
-    for k in range(min_degree, degree + 1):
+    for k in range(2, degree + 1):
         vecs: List[PolyVF] = []
         for block in _blocks(k):
             basis = block.basis()
-            for v in _kernel(block, _homological_block(block, a_t), (R0, s_real), sign):
+            for v in _kernel(block, _homological_block(block, a_t), (R0, s_real), -1):
                 terms = [{} for _ in range(4)]
                 for (comp, e), coef in zip(basis, v):
                     if coef:

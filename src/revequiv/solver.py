@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import List, Sequence, Tuple
 
 from .exactalg import AlgScalar, Mat4, anticommutes, is_involution
-from .groups import MatGroup, element_order, generate_closure
+from .groups import MatGroup, generate_closure
 
 SUPPORTED_N = (2, 3, 4, 6)
 
@@ -172,9 +173,8 @@ def solve_involutions(
             s = reflection_block_matrix(n, k1, k2)
             # sanity: the construction already guarantees these
             assert is_involution(s) and anticommutes(s, a_mat)
-            order = element_order(R0 * s)
-            assert n % order == 0
-            group_order = 2 * order
+            # R0*S rotates the blocks by -k1/n and -k2/n turns
+            group_order = 2 * (n // gcd(n, k1, k2))
             sol = InvolutionSolution(
                 s=s,
                 block_angles=(Fraction(k1, n), Fraction(k2, n)),

@@ -356,6 +356,20 @@ IRRATIONAL_FIELD = json.dumps({"max_degree": 3, "components": [
     [_term([0, 0, 0, 1], {"num": -2, "den": 1})],
     [_term([0, 0, 1, 0], {"num": 2, "den": 1})]]})
 
+# the 1:2 linear field, which is reversible under R0, and the same field
+# with the coefficient of x1 in dx2 written as a JSON boolean
+LINEAR_FIELD = "dx1 = -1*x2\ndx2 = 1*x1\ndy1 = -2*y2\ndy2 = 2*y1\n"
+BOOL_NUMERATOR_FIELD = json.dumps({"max_degree": 1, "components": [
+    [_term([0, 1, 0, 0], {"num": -1, "den": 1})],
+    [_term([1, 0, 0, 0], {"num": True, "den": 1})],
+    [_term([0, 0, 0, 1], {"num": -2, "den": 1})],
+    [_term([0, 0, 1, 0], {"num": 2, "den": 1})]]})
+
+# R0 with the denominators of its diagonal written as JSON booleans
+BOOL_DENOMINATOR_INVOLUTION = json.dumps(
+    [[{"num": (-1) ** i * (i == j), "den": True if i == j else 1} for j in range(4)]
+     for i in range(4)])
+
 
 @pytest.mark.parametrize(
     "files, argv, env",
@@ -414,6 +428,9 @@ IRRATIONAL_FIELD = json.dumps({"max_degree": 3, "components": [
         ({}, ("classify", "--n", "2", "--alpha", "0", "--beta", "2"), None),
         ({}, ("solve-involutions", "--n", "2", "--alpha", "1", "--beta", "0"), None),
         ({}, ("classify", "--n", "2", "--alpha", "-0", "--beta", "2"), None),
+        ({"x.vf": BOOL_NUMERATOR_FIELD}, CHECK, None),
+        ({"x.vf": LINEAR_FIELD, "s.mat": BOOL_DENOMINATOR_INVOLUTION},
+         ("check", "--field", "x.vf", "--involution", "s.mat"), None),
     ],
     ids=[
         "field-json-shape", "field-json-syntax", "field-three-components",
@@ -426,7 +443,8 @@ IRRATIONAL_FIELD = json.dumps({"max_degree": 3, "components": [
         "linearize-degree-minus-1", "field-float-radical", "involution-float-radical",
         "field-radical-other-than-involution", "map-mixed-radicals",
         "normalize-irrational-coefficient", "alpha-exponent", "involution-entry-exponent",
-        "alpha-zero", "beta-zero", "alpha-minus-zero",
+        "alpha-zero", "beta-zero", "alpha-minus-zero", "field-bool-numerator",
+        "involution-bool-denominator",
     ],
 )
 def test_bad_input_is_usage_error(capsys, monkeypatch, tmp_path, files, argv, env):

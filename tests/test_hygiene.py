@@ -75,3 +75,72 @@ def test_no_floats(path):
         ):
             floats.append((node.lineno, ast.dump(node)[:60]))
     assert floats == []
+
+
+ROOT = SRC.parent.parent
+CORPUS = sorted(
+    p for d in ("src", "tests", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")
+)
+
+
+def test_all_lists_exactly_the_names_init_imports():
+    import revequiv
+
+    tree = _tree(SRC / "__init__.py")
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert set(revequiv.__all__) == imported
+    assert len(revequiv.__all__) == len(imported)
+    for name in revequiv.__all__:
+        assert getattr(revequiv, name) is not None
+
+
+def _definitions(tree):
+    """(name, first line, last line) of every function, class and method,
+    and of every module-level assignment target."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno, node.end_lineno))
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for t in targets:
+            for n in ast.walk(t):
+                if isinstance(n, ast.Name):
+                    out.append((n.id, node.lineno, node.end_lineno))
+    return [d for d in out if not (d[0].startswith("__") and d[0].endswith("__"))]
+
+
+def _mentions(tree):
+    """(name, line) of every identifier the file reads or imports, and of
+    every string literal that is an identifier, such as a name passed to
+    ``getattr``; docstrings do not count."""
+    docstrings = {id(n.value) for n in ast.walk(tree)
+                  if isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            out.append((node.name.split(".")[-1], node.lineno))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in docstrings):
+            out.append((node.value, node.lineno))
+    return out
+
+
+def test_every_definition_is_named_elsewhere():
+    mentions = {}
+    for path in CORPUS:
+        for name, line in _mentions(_tree(path)):
+            mentions.setdefault(name, []).append((path, line))
+    unused = []
+    for path in MODULES:
+        for name, first, last in _definitions(_tree(path)):
+            if not any(p != path or not first <= line <= last
+                       for p, line in mentions.get(name, [])):
+                unused.append((path.name, first, name))
+    assert unused == []

@@ -123,3 +123,5 @@ def test_float_entries_are_rejected():
     for rows in ([[0.5, 1]], [[1, 0], [0, 1.0]]):
         with pytest.raises(AttributeError):
             linalg.rref(rows)
+    with pytest.raises(AttributeError):
+        linalg.solve([[1, 0], [0, 1]], [0.1, 1])

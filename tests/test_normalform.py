@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import NO_SYMMETRY_FIELD, random_reversible_field, seeded_rng
 from revequiv.normalform import (
-    CONJ,
     CONSTRAINT_TABLE,
     PHI,
     CoeffConstraint,
     MixedResonantTerms,
     ResMonomial,
     ResonanceSpec,
+    RevInvolution,
     belitskii_normalize,
     brute_force_kernel,
     constraint_for,
@@ -78,20 +78,6 @@ def test_enumeration_matches_independent_loop():
 # -- constraints ------------------------------------------------------------
 
 
-def test_meet_table():
-    C = CoeffConstraint
-    singles = [C.RE_ZERO, C.IM_ZERO, C.RE_EQ_IM, C.RE_EQ_MINUS_IM]
-    for c in list(C):
-        assert c.meet(c) is c
-        assert C.FREE.meet(c) is c
-        assert c.meet(C.FREE) is c
-        assert C.ZERO.meet(c) is C.ZERO
-    for c1 in singles:
-        for c2 in singles:
-            if c1 is not c2:
-                assert c1.meet(c2) is C.ZERO
-
-
 def test_parameter_counts():
     C = CoeffConstraint
     assert C.FREE.parameter_count() == 2
@@ -108,7 +94,7 @@ def test_delta_monomials_always_pure_imaginary():
             mono2 = ResMonomial(2, (m, m, n + 1, n))
             assert constraint_for(mono1, PHI[j]) is CoeffConstraint.RE_ZERO
             assert constraint_for(mono2, PHI[j]) is CoeffConstraint.RE_ZERO
-            assert constraint_for(mono1, CONJ) is CoeffConstraint.RE_ZERO
+            assert constraint_for(mono1, RevInvolution(0, 0)) is CoeffConstraint.RE_ZERO
 
 
 def test_phi_real_forms_are_involutions_in_distinct_classes():
@@ -177,6 +163,17 @@ def test_specific_table_rows():
     assert constraint_for(table_monomial(spec), PHI[1]) is CoeffConstraint.RE_EQ_IM
 
 
+def published_pair_survivors(spec, degree):
+    """The survivors under the published reversor pair (-conj, phi_1), each
+    with its constraint: no reversor leaves a coefficient Free, so a monomial
+    survives iff both reversors force the same constraint on it."""
+    return [
+        (m, constraint_for(m, PHI[0]))
+        for m in resonant_monomials(spec, degree)
+        if constraint_for(m, PHI[0]) is constraint_for(m, PHI[1])
+    ]
+
+
 def test_mixed_generators_die_under_published_reversor_pair():
     # whenever the residue condition on q holds, the off-diagonal resonant
     # generators disappear from the normal form derived with the published
@@ -189,8 +186,7 @@ def test_mixed_generators_die_under_published_reversor_pair():
                 continue
             spec = ResonanceSpec(p, q)
             deg = p + q + 1
-            r = survival_analysis(spec, 1, deg, reversors=(PHI[0], PHI[1]))
-            for m, _ in r.surviving:
+            for m, _ in published_pair_survivors(spec, deg):
                 a, b, c, d = m.exps
                 if m.component == 1:
                     assert not (a == 0 and d == 0 and b == q - 1 and c == p)
@@ -208,8 +204,8 @@ def test_canonical_pair_differs_from_published_pair_where_oracle_says_so():
     assert r.parameter_count(exact_degree=4) == 2
     o = brute_force_kernel(spec, 1, 4)
     assert o.dimensions[4] == 2
-    r0 = survival_analysis(spec, 1, 4, reversors=(PHI[0], PHI[1]))
-    assert r0.parameter_count(exact_degree=4) == 0
+    r0 = published_pair_survivors(spec, 4)
+    assert sum(c.parameter_count() for m, c in r0 if m.degree == 4) == 0
 
 
 # -- survival analysis ------------------------------------------------------
@@ -233,7 +229,7 @@ def test_survival_fourth_group_keeps_offdiagonal_multiple():
     r = survival_analysis(spec, 4, 7)
     extra = sorted(str(m) for m, _ in r.surviving if not m.is_delta_type())
     assert extra == ["z1^6*~z2 d/dz2", "~z1^5*z2^2 d/dz1"]
-    o = brute_force_kernel(spec, 4, 7, min_degree=7)
+    o = brute_force_kernel(spec, 4, 7)
     assert o.dimensions[7] == r.parameter_count(exact_degree=7) == 10
     assert survival_analysis(spec, 4, 6).is_pure_delta_form()
 
@@ -247,10 +243,36 @@ def test_survival_sixth_group_keeps_offdiagonal_family():
     r = survival_analysis(spec, 6, 7)
     extra = sorted(str(m) for m, _ in r.surviving if not m.is_delta_type())
     assert extra == ["z1^5*~z2^2 d/dz2", "~z1^4*z2^3 d/dz1"]
-    o = brute_force_kernel(spec, 6, 7, min_degree=7)
+    o = brute_force_kernel(spec, 6, 7)
     assert o.dimensions[7] == r.parameter_count(exact_degree=7) == 10
     # below that degree the sixth class is also pure Delta
     assert survival_analysis(spec, 6, 6).is_pure_delta_form()
+
+
+# quarter turns r of a real 2x2 rotation block, read off its (cos, sin)
+QUARTER_TURNS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+
+
+def test_survivors_are_the_monomials_fixed_by_the_rotation():
+    # R0*S_j rotates z1 and z2 by r1 and r2 quarter turns; it fixes the
+    # field z1^a ~z1^b z2^c ~z2^d d/dz_comp iff r1(a-b) + r2(c-d) = r_comp
+    # mod 4.  The survivors under (conj, phi_j) are exactly these, each ReZero.
+    for j in range(1, 7):
+        rot = R0 * real_group_representative(j)
+        r = [QUARTER_TURNS[rot[i, i].as_rational(), rot[i + 1, i].as_rational()]
+             for i in (0, 2)]
+        for q in range(2, 10):
+            for p in range(1, q):
+                if gcd(p, q) != 1:
+                    continue
+                spec = ResonanceSpec(p, q)
+                fixed = tuple(
+                    (m, CoeffConstraint.RE_ZERO)
+                    for m in resonant_monomials(spec, 11)
+                    if (r[0] * (m.exps[0] - m.exps[1]) + r[1] * (m.exps[2] - m.exps[3])
+                        - r[m.component - 1]) % 4 == 0
+                )
+                assert survival_analysis(spec, j, 11).surviving == fixed, (p, q, j)
 
 
 def test_survival_mixed_case_has_extra_terms():
@@ -319,14 +341,6 @@ def test_oracle_basis_fields_satisfy_all_constraints():
             assert PolyVF(
                 [c.truncated(k) for c in img.components], k
             ).is_zero()
-
-
-def test_oracle_equivariance_sanity_mode():
-    # with sign=+1 the constraints become pure equivariance; the linear
-    # field itself is degree-1, so probe with its cubic Delta-multiples
-    spec = ResonanceSpec(1, 2)
-    o = brute_force_kernel(spec, 2, 3, sign=+1)
-    assert o.dimensions[3] > 0
 
 
 # -- normalization ----------------------------------------------------------

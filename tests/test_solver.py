@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from revequiv.exactalg import AlgScalar, Mat4, anticommutes, is_involution
-from revequiv.groups import generate_closure
+from revequiv.groups import element_order, generate_closure
 from revequiv.solver import (
     R0,
+    SUPPORTED_N,
     DegenerateResonance,
     LinearPart,
     UnsupportedGroupOrder,
@@ -53,6 +54,14 @@ def test_every_solution_is_involutive_anticommuting():
         for sol in solve_involutions(LIN, n):
             assert is_involution(sol.s)
             assert anticommutes(sol.s, a)
+
+
+def test_group_order_is_twice_the_order_of_the_rotation():
+    # solve_involutions reads the order off the angles; count the powers of
+    # R0*S instead, degenerate solutions included
+    for n in SUPPORTED_N:
+        for sol in solve_involutions(LIN, n):
+            assert sol.group_order == 2 * element_order(R0 * sol.s)
 
 
 def test_degenerate_flagging():
