@@ -30,6 +30,8 @@ from typing import List
 from .exactalg import IncompatibleRadicals, Mat4, is_involution
 from .groups import is_dihedral, sign_assignment
 from .normalform import (
+    GROUP_INDICES,
+    PHI,
     NormalizationError,
     ResonanceSpec,
     belitskii_normalize,
@@ -38,7 +40,6 @@ from .normalform import (
     real_group_representative,
     survival_analysis,
     table_report,
-    xi_group_indices,
 )
 from .solver import (
     R0,
@@ -48,6 +49,7 @@ from .solver import (
     UnsupportedGroupOrder,
     partition_by_group,
     reflection_block_matrix,
+    rotation_angles,
     solve_involutions,
 )
 from .vecfield import (
@@ -243,11 +245,15 @@ def _matrix_text(m: Mat4) -> str:
 
 
 def _class_labels(classes, n: int) -> List[str]:
-    """Xi<j> for a class of the n = 4 case that generates one of the six
-    dihedral groups, class<index> otherwise."""
+    """Xi<j> for a class of the n = 4 case with the rotations of <R0, phi_j>,
+    class<index> otherwise."""
+    xi = {}
+    if n == 4:
+        xi = {rotation_angles(Fraction(PHI[j].eps1, 4), Fraction(PHI[j].eps2, 4)): j
+              for j in GROUP_INDICES}
     labels = []
     for idx, c in enumerate(classes, start=1):
-        j = xi_group_indices().get(c.group) if n == 4 else None
+        j = xi.get(rotation_angles(*c.members[0].block_angles))
         labels.append(f"Xi{j}" if j is not None else f"class{idx}")
     return labels
 

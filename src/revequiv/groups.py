@@ -12,7 +12,7 @@ from typing import Dict, Sequence
 
 from .exactalg import Mat4, anticommutes, commutes
 
-DEFAULT_CAP = 64
+CAP = 64
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -37,11 +37,12 @@ class MatGroup:
     def __contains__(self, m: Mat4) -> bool:
         return m in self.elements
 
-    def to_json(self, rho: "SignAssignment | None" = None) -> dict:
-        out = {"order": self.order, "elements": [m.to_json() for m in self.elements]}
-        if rho is not None:
-            out["rho"] = list(rho.signs)
-        return out
+    def to_json(self, rho: "SignAssignment") -> dict:
+        return {
+            "order": self.order,
+            "elements": [m.to_json() for m in self.elements],
+            "rho": list(rho.signs),
+        }
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class SignAssignment:
         return True
 
 
-def generate_closure(gens: Sequence[Mat4], cap: int = DEFAULT_CAP) -> MatGroup:
+def generate_closure(gens: Sequence[Mat4]) -> MatGroup:
     """Multiplicative closure of the generators (which must be invertible).
 
     Deterministic element order: canonical entrywise sort.
@@ -85,10 +86,8 @@ def generate_closure(gens: Sequence[Mat4], cap: int = DEFAULT_CAP) -> MatGroup:
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
-                    if len(seen) > cap:
-                        raise ClosureCapExceeded(
-                            f"closure exceeds cap of {cap} elements"
-                        )
+                    if len(seen) > CAP:
+                        raise ClosureCapExceeded(f"closure exceeds cap of {CAP} elements")
         frontier = nxt
     elements = tuple(sorted(seen, key=Mat4.sort_key))
     return MatGroup(elements=elements)
@@ -101,7 +100,7 @@ def element_order(m: Mat4) -> int:
     while p != ident:
         p = p * m
         n += 1
-        if n > DEFAULT_CAP:
+        if n > CAP:
             raise ClosureCapExceeded("element order exceeds cap")
     return n
 

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .exactalg import Mat4
-from .groups import MatGroup, generate_closure
 from .solver import R0, linear_part_matrix, reflection_block_matrix
 from .vecfield import (
     Poly, PolyMap, PolyVF, _apply, _linear_forms, check_symmetry, conjugate
@@ -698,17 +697,6 @@ def _normalization_spaces(p: int, q: int, k: int, detected: Tuple[Mat4, ...]):
         rows = [[col[r] for col in cols] for r in range(nb)]
         blocks_data.append((basis, equi_basis, len(kern_basis), rows))
     return blocks_data
-
-
-# ---------------------------------------------------------------------------
-# class labeling
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def xi_group_indices() -> Dict[MatGroup, int]:
-    """Each of the six order-8 dihedral groups <R0, S_j>, j = 1..6, mapped to j."""
-    return {generate_closure([R0, real_group_representative(j)]): j for j in GROUP_INDICES}
 
 
 # ---------------------------------------------------------------------------

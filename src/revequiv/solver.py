@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import List, Sequence, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 from .exactalg import AlgScalar, Mat4, anticommutes, is_involution
 from .groups import MatGroup, generate_closure
@@ -137,6 +136,18 @@ class InvolutionSolution:
         return out
 
 
+def rotation_angles(a: Fraction, b: Fraction) -> FrozenSet[Tuple[Fraction, Fraction]]:
+    """The rotations of <R0, S> for S with block angles (a, b), in turns.
+
+    R0*S rotates the blocks by -a and -b turns, so the rotations are the
+    multiples (m*a, m*b) mod 1, and <R0, S> is them and R0 times each."""
+    rotations, r = set(), (Fraction(0), Fraction(0))
+    while r not in rotations:
+        rotations.add(r)
+        r = ((r[0] + a) % 1, (r[1] + b) % 1)
+    return frozenset(rotations)
+
+
 @dataclass(frozen=True)
 class XiClass:
     """The solutions that generate one group <R0, S>, and that group."""
@@ -147,9 +158,6 @@ class XiClass:
     @property
     def group_order(self) -> int:
         return self.group.order
-
-    def sort_key(self):
-        return min(m.sort_key() for m in self.members)
 
 
 def solve_involutions(
@@ -173,11 +181,11 @@ def solve_involutions(
             s = reflection_block_matrix(n, k1, k2)
             # sanity: the construction already guarantees these
             assert is_involution(s) and anticommutes(s, a_mat)
-            # R0*S rotates the blocks by -k1/n and -k2/n turns
-            group_order = 2 * (n // gcd(n, k1, k2))
+            angles = (Fraction(k1, n), Fraction(k2, n))
+            group_order = 2 * len(rotation_angles(*angles))
             sol = InvolutionSolution(
                 s=s,
-                block_angles=(Fraction(k1, n), Fraction(k2, n)),
+                block_angles=angles,
                 degenerate=group_order < 2 * n,
                 group_order=group_order,
             )
@@ -191,18 +199,17 @@ def solve_involutions(
 def partition_by_group(solutions: Sequence[InvolutionSolution]) -> List[XiClass]:
     """Group solutions by the matrix group <R0, S> they generate.
 
-    Two solutions share a class iff their closures are equal.  Classes come
-    out in canonical order.
+    Two solutions share a class iff their `rotation_angles` are equal; each
+    class's group is closed once, from its first member.  Classes come out
+    in canonical order, that of their first members.
     """
     buckets = {}
-    for sol in solutions:
-        buckets.setdefault(generate_closure([R0, sol.s]), []).append(sol)
-    classes = [
-        XiClass(members=tuple(sorted(sols, key=InvolutionSolution.sort_key)), group=group)
-        for group, sols in buckets.items()
+    for sol in sorted(solutions, key=InvolutionSolution.sort_key):
+        buckets.setdefault(rotation_angles(*sol.block_angles), []).append(sol)
+    return [
+        XiClass(members=tuple(sols), group=generate_closure([R0, sols[0].s]))
+        for sols in buckets.values()
     ]
-    classes.sort(key=XiClass.sort_key)
-    return classes
 
 
 @dataclass(frozen=True)

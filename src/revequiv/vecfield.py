@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .exactalg import AlgScalar, Mat4, ZERO, scalar
+from .exactalg import AlgScalar, Mat4, ZERO, is_involution, scalar
 from .solver import R0
 
 VARS = ("x1", "x2", "y1", "y2")
@@ -567,7 +567,7 @@ def linearize_involution(phi: PolyMap, k: int) -> PolyMap:
     degree k.
     """
     dphi = phi.linear_part()
-    if not (dphi * dphi == Mat4.identity()):
+    if not is_involution(dphi):
         raise NotAnInvolution("linear part is not an involution")
     comp = phi.compose(PolyMap(phi.components, k))
     if PolyMap(comp.components, k) != PolyMap.identity(k):

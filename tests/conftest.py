@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from revequiv.exactalg import Mat4
 from revequiv.groups import generate_closure, sign_assignment
@@ -45,16 +46,22 @@ def pushforward_linear(y, g, ginv):
     return PolyVF(comps, y.max_degree)
 
 
+@lru_cache(maxsize=None)
+def signed_group(reversor_pair, linear_part):
+    """(g, g^-1, rho(g)) for each g in the group the two involutions generate."""
+    group = generate_closure(list(reversor_pair))
+    rho = sign_assignment(group, linear_part)
+    return tuple((g, matrix_inverse_in_group(g, group), rho[g]) for g in group.elements)
+
+
 def reversible_projection(y, reversor_pair, linear_part):
     """Project a field onto the reversible subspace of the group generated by
     the two involutions, by signed group averaging."""
-    group = generate_closure(list(reversor_pair))
-    rho = sign_assignment(group, linear_part)
+    terms = signed_group(tuple(reversor_pair), linear_part)
     acc = PolyVF([Poly()] * 4, y.max_degree)
-    for g in group.elements:
-        ginv = matrix_inverse_in_group(g, group)
-        acc = acc + pushforward_linear(y, g, ginv).scale(rho[g])
-    return acc.scale(Fraction(1, group.order))
+    for g, ginv, sign in terms:
+        acc = acc + pushforward_linear(y, g, ginv).scale(sign)
+    return acc.scale(Fraction(1, len(terms)))
 
 
 def random_reversible_field(rng, spec, s_matrix, max_degree, nterms=24):

@@ -1,4 +1,5 @@
-"""Golden outputs: the sha256 of stdout and the exit code of fixed commands.
+"""Golden outputs: the sha256 of stdout and the exit code of fixed commands
+and of the demos.
 
 The digests pin the exact bytes that the CLI prints, so a refactor that
 should not change behaviour can be checked against them.  A change that is
@@ -7,11 +8,17 @@ assertion and says why in its description.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import NO_SYMMETRY_FIELD
 from revequiv.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # a 1:2 field reversible under R0 and the class-3 representative
 CLASS3_FIELD = """\
@@ -113,6 +120,33 @@ GOLDEN = [
         0,
         "ed87de255c3eab64526ec0e17eaa772e36efaf5db4dd48d5f4c47647a8697e7a",
     ),
+    # the order-6 classes and their labels, as JSON
+    (
+        ("solve-involutions", "--n", "6", "--alpha", "1", "--beta", "2", "--json"),
+        0,
+        "cd41a6c56c617ccca33cfbabf9511ac063a2d1cb11b372831d37033eaebdb2f7",
+    ),
+    (
+        ("solve-involutions", "--n", "3", "--alpha", "2", "--beta", "3"),
+        0,
+        "f485a04aff68976f9b362e05d9cbc82be318b9af877f679163a01ed3feef51a6",
+    ),
+    # the Klein four-groups
+    (
+        ("classify", "--n", "2", "--alpha", "1", "--beta", "3"),
+        0,
+        "6496be2f13f9a0b0ead39c35fcf6dad263855b7549869d583e872fa7c6de3dc7",
+    ),
+]
+
+# (demo script, exit code, sha256 of stdout)
+DEMOS = [
+    ("01_classify_involutions.py", 0,
+     "08d4626c1780f89b46e87f109142458a24bfbbd10bfe9135ce821bdb23e9760e"),
+    ("02_normal_form_survey.py", 0,
+     "e83c7798bea96328a1108aaa56bf810dade95dd55cba37d9276429dfb3fa6d5a"),
+    ("03_normalize_pipeline.py", 0,
+     "a2546676b6b7a935b11a602fe6a6cc20960059b358c1891fabdebade3feaf62b"),
 ]
 
 
@@ -126,7 +160,29 @@ def run_golden(argv, field_dir, capsys):
     return code, hashlib.sha256(out.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(g[0][:3]) for g in GOLDEN])
+def golden_ids():
+    """Each command's first three words, or all of them where those repeat
+    an earlier id, so that adding a command renames no existing test."""
+    ids = []
+    for argv, _, _ in GOLDEN:
+        short = " ".join(argv[:3])
+        ids.append(" ".join(argv) if short in ids else short)
+    return ids
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=golden_ids())
 def test_golden_output(argv, code, digest, tmp_path, capsys):
     assert run_golden(argv, tmp_path, capsys) == (code, digest)
 
+
+
+@pytest.mark.parametrize("script, code, digest", DEMOS, ids=[d[0] for d in DEMOS])
+def test_demo_output(script, code, digest):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / script)],
+        capture_output=True,
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == (code, digest)

@@ -65,7 +65,7 @@ def test_closure_cap():
         ]
     )
     with pytest.raises(ClosureCapExceeded):
-        generate_closure([m], cap=32)
+        generate_closure([m])
 
 
 def test_singular_generator_rejected():

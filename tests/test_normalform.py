@@ -26,10 +26,10 @@ from revequiv.normalform import (
     survival_analysis,
     table_monomial,
     table_report,
-    xi_group_indices,
     _homological,
     _symmetry_candidates,
 )
+from revequiv.cli import _class_labels
 from revequiv.groups import generate_closure
 from revequiv.solver import R0, solve_involutions, LinearPart, partition_by_group
 from revequiv.vecfield import Poly, PolyMap, PolyVF, check_symmetry, conjugate
@@ -97,17 +97,21 @@ def test_delta_monomials_always_pure_imaginary():
             assert constraint_for(mono1, RevInvolution(0, 0)) is CoeffConstraint.RE_ZERO
 
 
-def test_phi_real_forms_are_involutions_in_distinct_classes():
+def _xi_labelled_classes():
+    """The n = 4 classes at 1:2, each with the label the CLI gives it."""
     lin = LinearPart(Fraction(1), Fraction(2))
-    nondeg = solve_involutions(lin, 4, include_degenerate=False)
-    classes = partition_by_group(nondeg)
+    classes = partition_by_group(solve_involutions(lin, 4, include_degenerate=False))
+    return list(zip(_class_labels(classes, 4), classes))
+
+
+def test_phi_real_forms_are_involutions_in_distinct_classes():
     seen = set()
-    for j in range(1, 7):
+    for label, c in _xi_labelled_classes():
+        j = int(label.removeprefix("Xi"))
         s = real_group_representative(j)
-        assert any(any(m.s == s for m in c.members) for c in classes)
-        j_of_s = xi_group_indices().get(generate_closure([R0, s]))
-        assert j_of_s == j
-        seen.add(j_of_s)
+        assert any(m.s == s for m in c.members)
+        assert generate_closure([R0, s]) == c.group
+        seen.add(j)
     assert seen == {1, 2, 3, 4, 5, 6}
 
 
@@ -120,7 +124,7 @@ def test_phi0_is_the_degenerate_negated_reversor():
     assert m == R0.scale(-1)
     hits = [sol for sol in solve_involutions(lin, 4) if sol.s == m]
     assert len(hits) == 1 and hits[0].degenerate
-    assert xi_group_indices().get(generate_closure([R0, m])) is None
+    assert all(generate_closure([R0, m]) != c.group for _, c in _xi_labelled_classes())
 
 
 # -- published tables -------------------------------------------------------

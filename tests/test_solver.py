@@ -104,6 +104,26 @@ def test_partition_sizes():
                 assert c.group.elements == generate_closure([R0, m.s]).elements
 
 
+@pytest.mark.parametrize("n", SUPPORTED_N)
+@pytest.mark.parametrize("alpha, beta", [(1, 2), (2, 3), (-1, 5)])
+def test_rotation_keyed_classes_are_the_classes_by_closure(n, alpha, beta):
+    sols = solve_involutions(LinearPart(Fraction(alpha), Fraction(beta)), n)
+    closure = {sol.s: generate_closure([R0, sol.s]) for sol in sols}
+    by_closure = {}
+    for s, group in closure.items():
+        by_closure.setdefault(group, set()).add(s)
+    classes = partition_by_group(sols)
+    assert {frozenset(m.s for m in c.members) for c in classes} == {
+        frozenset(ss) for ss in by_closure.values()
+    }
+    for c in classes:
+        assert list(c.members) == sorted(c.members, key=lambda m: m.sort_key())
+        for m in c.members:
+            assert closure[m.s] == c.group
+    firsts = [c.members[0].sort_key() for c in classes]
+    assert firsts == sorted(firsts)
+
+
 def test_solutions_independent_of_frequencies():
     other = LinearPart(Fraction(2, 3), Fraction(7))
     for n in (2, 3, 4):
