@@ -8,13 +8,7 @@ matrix group <R0, S> they generate.
 
 from fractions import Fraction
 
-from revequiv import (
-    LinearPart,
-    is_dihedral,
-    partition_by_group,
-    sign_assignment,
-    solve_involutions,
-)
+from revequiv import LinearPart, partition_by_group, solve_involutions
 
 lin = LinearPart(Fraction(1), Fraction(2))
 
@@ -32,12 +26,11 @@ for n in (3, 4):
     print(f"\n=== <R0, S> dihedral of order {2 * n} ===")
     print(f"{len(sols)} non-degenerate solutions in {len(classes)} classes")
     for c in classes:
-        rho = sign_assignment(c.group, lin.matrix())
-        reversing = sum(1 for s in rho.signs if s == -1)
+        reversing = sum(1 for s in c.rho.signs if s == -1)
         angles = sorted(m.block_angles for m in c.members)
         print(
             f"  angles {angles}: group order {c.group_order}, "
-            f"dihedral={is_dihedral(c.group, n)}, {reversing} reversing elements"
+            f"dihedral={c.group.order == 2 * n}, {reversing} reversing elements"
         )
 
 # The same enumeration is independent of the frequencies: only the block

@@ -28,7 +28,6 @@ from fractions import Fraction
 from typing import List
 
 from .exactalg import IncompatibleRadicals, Mat4, is_involution
-from .groups import is_dihedral, sign_assignment
 from .normalform import (
     GROUP_INDICES,
     PHI,
@@ -295,19 +294,16 @@ def cmd_classify(args) -> int:
     lin = _checked(LinearPart, _rat(args.alpha), _rat(args.beta))
     sols = solve_involutions(lin, args.n, include_degenerate=False)
     classes = partition_by_group(sols)
-    a_mat = lin.matrix()
-    report = []
-    for c, label in zip(classes, _class_labels(classes, args.n)):
-        rho = sign_assignment(c.group, a_mat)
-        report.append(
-            {
-                "class_id": label,
-                "members": [m.to_json() for m in c.members],
-                "group": c.group.to_json(rho=rho),
-                "dihedral": is_dihedral(c.group, args.n),
-                "n_reversing": sum(1 for s in rho.signs if s == -1),
-            }
-        )
+    report = [
+        {
+            "class_id": label,
+            "members": [m.to_json() for m in c.members],
+            "group": c.group.to_json(rho=c.rho),
+            "dihedral": c.group.order == 2 * args.n,
+            "n_reversing": sum(1 for s in c.rho.signs if s == -1),
+        }
+        for c, label in zip(classes, _class_labels(classes, args.n))
+    ]
     if args.json:
         print(json.dumps(report, indent=2))
     else:

@@ -5,12 +5,18 @@ block-rotation linear part A(alpha, beta), partitions them by the group they
 generate together with R0, and re-verifies each candidate against the raw
 polynomial system by direct substitution.
 
-The enumeration rests on a block reduction: when |alpha| != |beta|,
-anticommutation with A forces S block-diagonal with 2x2 blocks, each a
-symmetric traceless matrix; S^2 = Id then makes every block a unit reflection
-[[cos t, sin t], [sin t, -cos t]], and (R0*S)^n = Id quantizes the two
-reflection angles to t = 2*pi*k/n.  The raw-system check is the independent
-oracle for this reduction.
+The enumeration is complete: when |alpha| != |beta|, S*A = -A*S forces S
+block-diagonal with symmetric traceless 2x2 blocks; S^2 = Id makes each block
+a unit reflection [[cos t, sin t], [sin t, -cos t]], and (R0*S)^n = Id makes
+exp(i*t) an n-th root of unity.  So the solutions are the n^2 angle pairs
+(k1/n, k2/n), and <R0, S> has order 2n iff gcd(n, k1, k2) = 1: there are
+J2(n) = n^2 * prod_{l | n} (1 - 1/l^2) such non-degenerate S (Jordan's
+totient) and n^2 - J2(n) degenerate ones.  Two share a class iff their
+(k1, k2) generate the same cyclic subgroup of (Z/n)^2; its phi(n) generators
+are the class, and the J2(n)/phi(n) classes are the points of P^1(Z/n):
+3, 8, 12, 24 solutions in 3, 4, 6, 12 classes for n = 2, 3, 4, 6.  The
+paper's order-3 list of three leaves out the class {(1/3, 2/3), (2/3, 1/3)}.
+The raw-system check is the independent oracle for this reduction.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from fractions import Fraction
 from typing import FrozenSet, List, Sequence, Tuple
 
 from .exactalg import AlgScalar, Mat4, anticommutes, is_involution
-from .groups import MatGroup, generate_closure
+from .groups import MatGroup, SignAssignment
 
 SUPPORTED_N = (2, 3, 4, 6)
 
@@ -150,10 +156,12 @@ def rotation_angles(a: Fraction, b: Fraction) -> FrozenSet[Tuple[Fraction, Fract
 
 @dataclass(frozen=True)
 class XiClass:
-    """The solutions that generate one group <R0, S>, and that group."""
+    """The solutions that generate one group <R0, S>, that group, and its
+    sign homomorphism rho: -1 on the reflections, +1 on the rotations."""
 
     members: Tuple[InvolutionSolution, ...]
     group: MatGroup
+    rho: SignAssignment
 
     @property
     def group_order(self) -> int:
@@ -197,19 +205,24 @@ def solve_involutions(
 
 
 def partition_by_group(solutions: Sequence[InvolutionSolution]) -> List[XiClass]:
-    """Group solutions by the matrix group <R0, S> they generate.
-
-    Two solutions share a class iff their `rotation_angles` are equal; each
-    class's group is closed once, from its first member.  Classes come out
-    in canonical order, that of their first members.
+    """Group solutions by the group <R0, S>, keyed by their `rotation_angles`
+    T, and write it from T: the reflections at the angles in T and R0 times
+    each.  Classes come out in the canonical order of their first members.
     """
     buckets = {}
     for sol in sorted(solutions, key=InvolutionSolution.sort_key):
         buckets.setdefault(rotation_angles(*sol.block_angles), []).append(sol)
-    return [
-        XiClass(members=tuple(sols), group=generate_closure([R0, sols[0].s]))
-        for sols in buckets.values()
-    ]
+    classes = []
+    for angles, sols in buckets.items():
+        signed = []
+        for t1, t2 in angles:
+            s = reflection_block_matrix(12, int(12 * t1), int(12 * t2))
+            signed += [(s, -1), (R0 * s, 1)]
+        signed.sort(key=lambda e: e[0].sort_key())
+        group = MatGroup(elements=tuple(m for m, _ in signed))
+        rho = SignAssignment(signs=tuple(sign for _, sign in signed), group=group)
+        classes.append(XiClass(members=tuple(sols), group=group, rho=rho))
+    return classes
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """Command-line interface: exit codes, schemas, determinism."""
 
 import json
+import sys
 import time
 
 import pytest
 
 from conftest import random_reversible_field, seeded_rng
+from revequiv import groups
 from revequiv.cli import main
 from revequiv.normalform import ResonanceSpec, real_group_representative
+from revequiv.solver import SUPPORTED_N
 from revequiv.vecfield import PolyVF
 
 
@@ -77,6 +80,29 @@ def test_classify_json(capsys):
         assert c["group"]["order"] == 8
         assert c["n_reversing"] == 4
         assert len(c["members"]) == 2
+
+
+def test_classify_writes_groups_without_closure_or_group_checks(capsys, monkeypatch):
+    # each class's group, rho and dihedral flag are written from its rotation
+    # set; the closure and the checks in `groups` only test what was written
+    runs = [[command, "--n", str(n), "--alpha", "1", "--beta", "2", *flags]
+            for command in ("classify", "solve-involutions")
+            for n in SUPPORTED_N for flags in ([], ["--json"])]
+    expected = [run(capsys, *argv)[1] for argv in runs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group check ran on the classify path")
+
+    checks = [getattr(groups, name) for name in
+              ("generate_closure", "sign_assignment", "is_dihedral", "element_order")]
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "revequiv":
+            for key, value in list(vars(module).items()):
+                if any(value is check for check in checks):
+                    monkeypatch.setattr(module, key, refuse)
+    monkeypatch.setattr(groups.SignAssignment, "is_multiplicative", refuse)
+    for argv, out in zip(runs, expected):
+        assert run(capsys, *argv)[:2] == (0, out)
 
 
 def test_degenerate_resonance_is_usage_error(capsys):

@@ -137,6 +137,18 @@ GOLDEN = [
         0,
         "6496be2f13f9a0b0ead39c35fcf6dad263855b7549869d583e872fa7c6de3dc7",
     ),
+    # the order-3 groups and their rho, as JSON
+    (
+        ("classify", "--n", "3", "--alpha", "2", "--beta", "3", "--json"),
+        0,
+        "b59794e2abd2fbfa3ac6fee3d98b8c3f48de5d5c7dd184e243d1dc7c2c1a9f95",
+    ),
+    # a negative frequency
+    (
+        ("classify", "--n", "4", "--alpha", "-1", "--beta", "5"),
+        0,
+        "737b11f8e5d29992fe12e9278897ef39775eddd06aafc81cba2e81e04e7ca378",
+    ),
 ]
 
 # (demo script, exit code, sha256 of stdout)

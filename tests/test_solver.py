@@ -4,15 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from revequiv.exactalg import AlgScalar, Mat4, anticommutes, is_involution
-from revequiv.groups import element_order, generate_closure
+from revequiv.groups import element_order, generate_closure, is_dihedral, sign_assignment
+from revequiv.linalg import nullspace
 from revequiv.solver import (
     R0,
     SUPPORTED_N,
     DegenerateResonance,
     LinearPart,
     UnsupportedGroupOrder,
+    linear_part_matrix,
     partition_by_group,
     reflection_block_matrix,
     solve_involutions,
@@ -107,7 +110,10 @@ def test_partition_sizes():
 @pytest.mark.parametrize("n", SUPPORTED_N)
 @pytest.mark.parametrize("alpha, beta", [(1, 2), (2, 3), (-1, 5)])
 def test_rotation_keyed_classes_are_the_classes_by_closure(n, alpha, beta):
-    sols = solve_involutions(LinearPart(Fraction(alpha), Fraction(beta)), n)
+    # partition_by_group writes each group and its rho from the rotation set;
+    # the closure, sign_assignment and is_dihedral check what it wrote
+    lin = LinearPart(Fraction(alpha), Fraction(beta))
+    sols = solve_involutions(lin, n)
     closure = {sol.s: generate_closure([R0, sol.s]) for sol in sols}
     by_closure = {}
     for s, group in closure.items():
@@ -120,8 +126,83 @@ def test_rotation_keyed_classes_are_the_classes_by_closure(n, alpha, beta):
         assert list(c.members) == sorted(c.members, key=lambda m: m.sort_key())
         for m in c.members:
             assert closure[m.s] == c.group
+        assert c.rho.signs == sign_assignment(c.group, lin.matrix()).signs
+        if not c.members[0].degenerate:
+            assert is_dihedral(c.group, n)
     firsts = [c.members[0].sort_key() for c in classes]
     assert firsts == sorted(firsts)
+
+
+def _anticommutant(alpha, beta):
+    """A basis of {S : S*A + A*S = 0}, each S as its 16 entries row by row."""
+    a = linear_part_matrix(alpha, beta)
+    rows = []
+    for i in range(4):
+        for j in range(4):
+            row = [Fraction(0)] * 16
+            for k in range(4):
+                row[4 * i + k] += a[k, j].a
+                row[4 * k + j] += a[i, k].a
+            rows.append(row)
+    return nullspace(rows)
+
+
+def _block_diagonal(v):
+    return all(v[4 * i + j] == 0 for i in range(4) for j in range(4) if i // 2 != j // 2)
+
+
+frequencies = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+@settings(max_examples=25, deadline=None)
+@given(frequencies, frequencies)
+def test_anticommutant_is_four_dimensional_and_block_diagonal(alpha, beta):
+    # with S^2 = Id and (R0*S)^n = Id on each block, this leaves exactly the
+    # n^2 reflection pairs that solve_involutions lists
+    assume(abs(alpha) != abs(beta))
+    basis = _anticommutant(alpha, beta)
+    assert len(basis) == 4
+    assert all(_block_diagonal(v) for v in basis)
+
+
+@settings(max_examples=10, deadline=None)
+@given(frequencies, st.sampled_from([1, -1]))
+def test_anticommutant_at_equal_moduli_is_not_block_diagonal(alpha, sign):
+    # where DegenerateResonance is raised, the block reduction does not hold
+    basis = _anticommutant(alpha, sign * alpha)
+    assert len(basis) == 8
+    assert not all(_block_diagonal(v) for v in basis)
+
+
+def _prime_divisors(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+@pytest.mark.parametrize("n", SUPPORTED_N)
+def test_counts_are_jordan_totient_and_points_of_the_projective_line(n):
+    j2, phi = n * n, n
+    for p in _prime_divisors(n):
+        j2, phi = j2 * (p * p - 1) // (p * p), phi * (p - 1) // p
+    sols = solve_involutions(LIN, n)
+    nondeg = [s for s in sols if not s.degenerate]
+    classes = partition_by_group(nondeg)
+    assert len(nondeg) == j2
+    assert len(sols) - len(nondeg) == n * n - j2
+    assert len(classes) == j2 // phi
+    assert all(len(c.members) == phi for c in classes)
+    assert (j2, j2 // phi) == {2: (3, 3), 3: (8, 4), 4: (12, 6), 6: (24, 12)}[n]
+
+
+def test_class_the_published_order3_list_leaves_out():
+    # criterion 2's three matrices are one member each of three classes
+    published = {(1, 1), (1, 0), (0, 1)}
+    classes = partition_by_group(solve_involutions(LIN, 3, include_degenerate=False))
+    missed = [c for c in classes
+              if not any((m.block_angles[0] * 3, m.block_angles[1] * 3) in published
+                         for m in c.members)]
+    assert [{m.block_angles for m in c.members} for c in missed] == [
+        {(Fraction(1, 3), Fraction(2, 3)), (Fraction(2, 3), Fraction(1, 3))}
+    ]
 
 
 def test_solutions_independent_of_frequencies():
