@@ -171,19 +171,10 @@ def real_group_representative(group_index: int) -> Mat4:
 class CoeffConstraint(Enum):
     """Constraint on a complex coefficient forced by reversibility."""
 
-    FREE = "Free"
     RE_ZERO = "ReZero"  # conj(b) = -b
     IM_ZERO = "ImZero"  # conj(b) = b
     RE_EQ_IM = "ReEqIm"  # conj(b) = -i b
     RE_EQ_MINUS_IM = "ReEqMinusIm"  # conj(b) = i b
-    ZERO = "Zero"
-
-    def parameter_count(self) -> int:
-        if self is CoeffConstraint.FREE:
-            return 2
-        if self is CoeffConstraint.ZERO:
-            return 0
-        return 1
 
 
 _CHI_TO_CONSTRAINT = {
@@ -247,9 +238,10 @@ class NormalFormResult:
     hypothesis_status: dict
 
     def parameter_count(self, exact_degree: Optional[int] = None) -> int:
+        """One real parameter per survivor."""
         return sum(
-            c.parameter_count()
-            for m, c in self.surviving
+            1
+            for m, _ in self.surviving
             if exact_degree is None or m.degree == exact_degree
         )
 
@@ -286,8 +278,8 @@ def survival_analysis(
     conj = RevInvolution(0, 0) is the complex form of the canonical real
     involution fixed by the classification.  reversibility_unit(m, conj) is
     2 for every m, so conj alone makes every coefficient purely imaginary,
-    and no reversor leaves a coefficient Free: the pair keeps m, as ReZero,
-    iff phi_j forces ReZero on it too, and forces Zero otherwise.  The
+    and no reversor leaves a coefficient free: the pair keeps m, as ReZero,
+    iff phi_j forces ReZero on it too, and forces it to zero otherwise.  The
     survivors are thus exactly the resonant monomials that the rotation
     R0*S_j = conj o phi_j fixes.
     """

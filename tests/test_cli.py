@@ -9,6 +9,7 @@ import pytest
 from conftest import random_reversible_field, seeded_rng
 from revequiv import groups
 from revequiv.cli import main
+from revequiv.exactalg import Mat4
 from revequiv.normalform import ResonanceSpec, real_group_representative
 from revequiv.solver import SUPPORTED_N
 from revequiv.vecfield import PolyVF
@@ -84,14 +85,15 @@ def test_classify_json(capsys):
 
 def test_classify_writes_groups_without_closure_or_group_checks(capsys, monkeypatch):
     # each class's group, rho and dihedral flag are written from its rotation
-    # set; the closure and the checks in `groups` only test what was written
+    # set, and each solution and group element from its angles; the closure,
+    # the checks in `groups` and Mat4 products only test what was written
     runs = [[command, "--n", str(n), "--alpha", "1", "--beta", "2", *flags]
             for command in ("classify", "solve-involutions")
             for n in SUPPORTED_N for flags in ([], ["--json"])]
     expected = [run(capsys, *argv)[1] for argv in runs]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a group check ran on the classify path")
+        raise AssertionError("a group check or a Mat4 product ran on the classify path")
 
     checks = [getattr(groups, name) for name in
               ("generate_closure", "sign_assignment", "is_dihedral", "element_order")]
@@ -101,6 +103,7 @@ def test_classify_writes_groups_without_closure_or_group_checks(capsys, monkeypa
                 if any(value is check for check in checks):
                     monkeypatch.setattr(module, key, refuse)
     monkeypatch.setattr(groups.SignAssignment, "is_multiplicative", refuse)
+    monkeypatch.setattr(Mat4, "__mul__", refuse)
     for argv, out in zip(runs, expected):
         assert run(capsys, *argv)[:2] == (0, out)
 

@@ -149,6 +149,12 @@ GOLDEN = [
         0,
         "737b11f8e5d29992fe12e9278897ef39775eddd06aafc81cba2e81e04e7ca378",
     ),
+    # the Klein four-groups' elements and their rho, as JSON
+    (
+        ("classify", "--n", "2", "--alpha", "1", "--beta", "2", "--json"),
+        0,
+        "4363b6687e6d4af78dcb013f5e91cb61b2d432a2235f80c2ad3b11b0243b7c37",
+    ),
 ]
 
 # (demo script, exit code, sha256 of stdout)

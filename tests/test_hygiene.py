@@ -3,7 +3,9 @@
 The package declares no runtime dependencies and computes exactly, so every
 import in ``src/revequiv`` must come from the standard library or from the
 package itself, no module-level import may go unused, and no float may
-appear: no float literal, no ``float`` name and no ``__float__``.
+appear: no float literal, no ``float`` name and no ``__float__``.  Nor
+may an ``assert``: ``python -O`` strips it, so a check that matters must
+raise, and one that cannot fail should not cost time.
 """
 
 import ast
@@ -75,6 +77,12 @@ def test_no_floats(path):
         ):
             floats.append((node.lineno, ast.dump(node)[:60]))
     assert floats == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_in_src(path):
+    asserts = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
+    assert asserts == []
 
 
 ROOT = SRC.parent.parent

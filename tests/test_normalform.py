@@ -78,14 +78,6 @@ def test_enumeration_matches_independent_loop():
 # -- constraints ------------------------------------------------------------
 
 
-def test_parameter_counts():
-    C = CoeffConstraint
-    assert C.FREE.parameter_count() == 2
-    assert C.ZERO.parameter_count() == 0
-    for c in (C.RE_ZERO, C.IM_ZERO, C.RE_EQ_IM, C.RE_EQ_MINUS_IM):
-        assert c.parameter_count() == 1
-
-
 def test_delta_monomials_always_pure_imaginary():
     # z_j * Delta1^m * Delta2^n picks up conj(b) = -b under every reflection
     for j in range(7):
@@ -169,7 +161,7 @@ def test_specific_table_rows():
 
 def published_pair_survivors(spec, degree):
     """The survivors under the published reversor pair (-conj, phi_1), each
-    with its constraint: no reversor leaves a coefficient Free, so a monomial
+    with its constraint: no reversor leaves a coefficient free, so a monomial
     survives iff both reversors force the same constraint on it."""
     return [
         (m, constraint_for(m, PHI[0]))
@@ -209,7 +201,7 @@ def test_canonical_pair_differs_from_published_pair_where_oracle_says_so():
     o = brute_force_kernel(spec, 1, 4)
     assert o.dimensions[4] == 2
     r0 = published_pair_survivors(spec, 4)
-    assert sum(c.parameter_count() for m, c in r0 if m.degree == 4) == 0
+    assert sum(1 for m, _ in r0 if m.degree == 4) == 0
 
 
 # -- survival analysis ------------------------------------------------------

@@ -25,6 +25,8 @@ from revequiv.solver import (
 
 LIN = LinearPart(Fraction(1), Fraction(2))
 
+frequencies = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
 HALF = Fraction(1, 2)
 ROOT3_HALF = AlgScalar(0, HALF, 3)
 
@@ -51,12 +53,28 @@ def test_counts_per_order():
     assert len(solve_involutions(LIN, 6)) == 36
 
 
-def test_every_solution_is_involutive_anticommuting():
-    a = LIN.matrix()
-    for n in (2, 3, 4, 6):
-        for sol in solve_involutions(LIN, n):
+@settings(max_examples=10, deadline=None)
+@given(frequencies, frequencies)
+def test_every_solution_is_involutive_anticommuting(alpha, beta):
+    # the construction guarantees both and the solver does not re-check them
+    assume(abs(alpha) != abs(beta))
+    lin = LinearPart(alpha, beta)
+    a = lin.matrix()
+    for n in SUPPORTED_N:
+        for sol in solve_involutions(lin, n):
             assert is_involution(sol.s)
             assert anticommutes(sol.s, a)
+
+
+@pytest.mark.parametrize("alpha, beta",
+                         [(0.1, Fraction(2)), (Fraction(1), 2.0), (True, 2), (1, False)],
+                         ids=["float", "float-beta", "bool", "bool-beta"])
+def test_linear_part_rejects_floats_and_bools(alpha, beta):
+    # no floats, ever: a float would become its binary expansion
+    with pytest.raises(TypeError):
+        LinearPart(alpha, beta)
+    with pytest.raises(TypeError):
+        linear_part_matrix(alpha, beta)
 
 
 def test_group_order_is_twice_the_order_of_the_rotation():
@@ -149,9 +167,6 @@ def _anticommutant(alpha, beta):
 
 def _block_diagonal(v):
     return all(v[4 * i + j] == 0 for i in range(4) for j in range(4) if i // 2 != j // 2)
-
-
-frequencies = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
 
 
 @settings(max_examples=25, deadline=None)
