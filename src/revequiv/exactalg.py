@@ -90,16 +90,19 @@ class AlgScalar:
         raise IncompatibleRadicals(f"sqrt({self.d}) vs sqrt({other.d})")
 
     def __add__(self, other: ScalarLike) -> "AlgScalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not AlgScalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.d == 0 and other.d == 0:
+            return _make(self.a + other.a, _Q0, 0)
         d = self._joint_d(other)
         return AlgScalar(self.a + other.a, self.b + other.b, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "AlgScalar":
-        return AlgScalar(-self.a, -self.b, self.d)
+        return _make(-self.a, -self.b, self.d)
 
     def __sub__(self, other: ScalarLike) -> "AlgScalar":
         other = self._coerce(other)
@@ -111,9 +114,12 @@ class AlgScalar:
         return (-self) + other
 
     def __mul__(self, other: ScalarLike) -> "AlgScalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not AlgScalar:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.d == 0 and other.d == 0:
+            return _make(self.a * other.a, _Q0, 0)
         d = self._joint_d(other)
         # (a1 + b1 r)(a2 + b2 r) with r^2 = d
         a = self.a * other.a + self.b * other.b * d
@@ -124,7 +130,7 @@ class AlgScalar:
 
     def conjugate(self) -> "AlgScalar":
         """Galois conjugate a - b*sqrt(d)."""
-        return AlgScalar(self.a, -self.b, self.d)
+        return _make(self.a, -self.b, self.d)
 
     # -- comparison & ordering ------------------------------------------
 
@@ -185,6 +191,27 @@ class AlgScalar:
         if isinstance(obj, dict) and "a" in obj:
             return AlgScalar(rational(obj["a"]), rational(obj["b"]), obj["d"])
         raise ValueError(f"not a scalar encoding: {obj!r}")
+
+
+_Q0 = Fraction(0)
+_set_a = AlgScalar.a.__set__
+_set_b = AlgScalar.b.__set__
+_set_d = AlgScalar.d.__set__
+
+
+def _make(a: Fraction, b: Fraction, d: int) -> AlgScalar:
+    """An ``AlgScalar`` from parts already in canonical form, unchecked.
+
+    Only this module calls it, on parts that an exact operation on
+    canonical scalars produced: ``Fraction`` a and b, and b == 0 exactly
+    when d == 0.  A rational sum or product then costs one ``Fraction``
+    operation, not the constructor's coercions and ``_squarefree``.
+    """
+    x = object.__new__(AlgScalar)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
 
 
 ZERO = AlgScalar(0)

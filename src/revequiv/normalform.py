@@ -48,6 +48,9 @@ class ResonanceSpec:
     q: int
 
     def __post_init__(self):
+        for x in (self.p, self.q):
+            if type(x) is not int:
+                raise TypeError(f"p and q must be ints, got {x!r}")
         if self.p < 1 or self.q < 1:
             raise ValueError("p, q must be positive integers")
         if gcd(self.p, self.q) != 1:

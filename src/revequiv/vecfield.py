@@ -102,14 +102,22 @@ class Poly:
 
     def mul(self, other: "Poly", max_degree: Optional[int] = None) -> "Poly":
         out: Dict[Expo, AlgScalar] = {}
+        right = [(e2, sum(e2), c2) for e2, c2 in other.terms.items()]
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if max_degree is not None and d1 + sum(e2) > max_degree:
+            room = None if max_degree is None else max_degree - sum(e1)
+            a0, a1, a2, a3 = e1
+            for e2, d2, c2 in right:
+                if room is not None and d2 > room:
                     continue
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                out[e] = out.get(e, ZERO) + c1 * c2
-        return Poly(out)
+                e = (a0 + e2[0], a1 + e2[1], a2 + e2[2], a3 + e2[3])
+                if e in out:
+                    out[e] = out[e] + c1 * c2
+                else:
+                    out[e] = c1 * c2
+        # the coefficients are AlgScalars already; only cancellations are dropped
+        product = Poly()
+        product.terms = {e: c for e, c in out.items() if not c.is_zero()}
+        return product
 
     def __mul__(self, other: "Poly") -> "Poly":
         return self.mul(other)

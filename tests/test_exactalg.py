@@ -1,5 +1,6 @@
 """Exact scalar and matrix arithmetic."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -115,3 +116,76 @@ def test_matrix_sort_key_deterministic():
     assert sorted([a, b], key=Mat4.sort_key) == sorted(
         [b, a], key=Mat4.sort_key
     )
+
+
+# -- the rational fast path ----------------------------------------------------
+# A sum or product of two rationals skips the constructor, so its result is
+# compared with the constructor's, built from parts worked out by hand.
+
+nonzero_rationals = rationals.filter(lambda r: r != 0)
+KINDS = {"rational": (st.just(Fraction(0)), 0), "sqrt3": (nonzero_rationals, 3)}
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _parts(kind):
+    b, d = KINDS[kind]
+    return st.tuples(rationals, b, st.just(d))
+
+
+def _expected(op, x, y):
+    """AlgScalar(a, b, d) from the parts of x op y, computed on Fractions."""
+    (a1, b1, d1), (a2, b2, d2) = x, y
+    d = max(d1, d2)
+    if op == "+":
+        return AlgScalar(a1 + a2, b1 + b2, d)
+    if op == "-":
+        return AlgScalar(a1 - a2, b1 - b2, d)
+    return AlgScalar(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2, d)
+
+
+def _assert_same_scalar(got, want):
+    assert got == want
+    assert hash(got) == hash(want)
+    assert type(got.a) is Fraction and type(got.b) is Fraction
+    if got.d == 0:
+        assert got.b == 0
+
+
+@pytest.mark.parametrize("op", OPS)
+@pytest.mark.parametrize("left, right", [("rational", "rational"), ("rational", "sqrt3"),
+                                         ("sqrt3", "rational"), ("sqrt3", "sqrt3")])
+@given(data=st.data())
+def test_arithmetic_matches_the_constructor(left, right, op, data):
+    x = data.draw(_parts(left))
+    y = data.draw(_parts(right))
+    _assert_same_scalar(OPS[op](AlgScalar(*x), AlgScalar(*y)), _expected(op, x, y))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+def test_negation_matches_the_constructor(kind, data):
+    a, b, d = data.draw(_parts(kind))
+    x = AlgScalar(a, b, d)
+    _assert_same_scalar(-x, AlgScalar(-a, -b, d))
+    _assert_same_scalar(x.conjugate(), AlgScalar(a, -b, d))
+
+
+@given(rationals, nonzero_rationals, st.integers(-20, 20), rationals)
+def test_int_and_fraction_operands_on_both_sides(a, b, n, r):
+    for x in (AlgScalar(a), AlgScalar(a, b, 3)):
+        _assert_same_scalar(n * x, AlgScalar(n * x.a, n * x.b, x.d))
+        _assert_same_scalar(x * n, AlgScalar(n * x.a, n * x.b, x.d))
+        _assert_same_scalar(x + r, AlgScalar(x.a + r, x.b, x.d))
+        _assert_same_scalar(r + x, AlgScalar(x.a + r, x.b, x.d))
+        _assert_same_scalar(x - r, AlgScalar(x.a - r, x.b, x.d))
+        _assert_same_scalar(r - x, AlgScalar(r - x.a, -x.b, x.d))
+    _assert_same_scalar(2 * AlgScalar(a), AlgScalar(2 * a))
+    _assert_same_scalar(AlgScalar(a) + Fraction(1, 3), AlgScalar(a + Fraction(1, 3)))
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_mixed_radicals_rejected_by_every_operation(op):
+    root2, root3 = AlgScalar(1, 1, 2), AlgScalar(0, Fraction(1, 2), 3)
+    for x, y in ((root2, root3), (root3, root2)):
+        with pytest.raises(IncompatibleRadicals):
+            OPS[op](x, y)

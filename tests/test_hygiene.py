@@ -91,6 +91,22 @@ CORPUS = sorted(
 )
 
 
+def _make_references(path):
+    return [node.lineno for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Name) and node.id == "_make"
+            or isinstance(node, ast.Attribute) and node.attr == "_make"
+            or isinstance(node, ast.alias) and node.name == "_make"]
+
+
+def test_make_is_used_only_in_exactalg():
+    # exactalg._make skips the constructor's checks, so a scalar built with it
+    # anywhere else could be non-canonical and break equality and hashing
+    outside = {str(p.relative_to(ROOT)): _make_references(p)
+               for p in CORPUS if p != SRC / "exactalg.py"}
+    assert {name: lines for name, lines in outside.items() if lines} == {}
+    assert _make_references(SRC / "exactalg.py")
+
+
 def test_all_lists_exactly_the_names_init_imports():
     import revequiv
 

@@ -47,6 +47,14 @@ def test_resonance_spec_validation():
         ResonanceSpec(0, 1)
 
 
+@pytest.mark.parametrize("p, q", [(True, 2), (1, 2.0), (1.0, 2), (1, True)],
+                         ids=["bool-p", "float-q", "float-p", "bool-q"])
+def test_resonance_spec_rejects_floats_and_bools(p, q):
+    # a bool would pass as 1 and a float would reach gcd; both are type errors
+    with pytest.raises(TypeError, match="p and q must be ints"):
+        ResonanceSpec(p, q)
+
+
 def test_linear_term_always_resonant():
     for p, q in ((1, 2), (3, 5), (2, 7)):
         ms = resonant_monomials(ResonanceSpec(p, q), 1)

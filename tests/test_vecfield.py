@@ -42,6 +42,35 @@ def test_poly_truncation_in_mul():
     assert not p.mul(p, max_degree=6).is_zero()
 
 
+exponents = st.tuples(*[st.integers(0, 3)] * 4)
+coefficients = st.builds(
+    AlgScalar,
+    st.fractions(min_value=-9, max_value=9, max_denominator=5),
+    st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 2), Fraction(-2)]),
+    st.just(3),
+)
+polys = st.dictionaries(exponents, coefficients, max_size=8).map(Poly)
+
+
+@given(polys, polys, st.integers(0, 12))
+def test_truncated_product_is_the_truncated_full_product(a, b, k):
+    assert a.mul(b, k) == a.mul(b).truncated(k)
+
+
+@given(polys, polys)
+def test_product_commutes_and_keeps_no_zero_coefficient(a, b):
+    ab = a.mul(b)
+    assert ab == b.mul(a)
+    assert all(type(c) is AlgScalar and not c.is_zero() for c in ab.terms.values())
+
+
+def test_cancelled_product_terms_are_dropped():
+    x1, x2 = Poly.variable(0), Poly.variable(1)
+    for p in ((x1 + x2).mul(x1 - x2), (x1 + x2).mul(x1 - x2, max_degree=2)):
+        assert (1, 1, 0, 0) not in p.terms
+        assert p.terms == {(2, 0, 0, 0): AlgScalar(1), (0, 2, 0, 0): AlgScalar(-1)}
+
+
 def test_parse_round_trip():
     text = "-1*x2 + 3/2*x2*y1^2 - 2*x1^3"
     p = parse_poly(text)
