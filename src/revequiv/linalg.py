@@ -1,13 +1,18 @@
-"""Exact linear algebra over Q by fraction-free integer elimination.
+"""Exact linear algebra over Q by fraction-free elimination on sparse rows.
 
-``rref`` scales every row to a primitive integer row (denominators cleared,
-content divided out, first nonzero entry positive) and drops zero and
-duplicate rows.  Gauss-Jordan elimination then runs on integers: a row is
-updated by a cross-multiplication with the pivot row and divided by its
-content again, which keeps the entries as small as the row space allows (the
-fraction-free idea of Bareiss 1968, Math. Comp. 22, 565-578).  Only the final
-reduced rows are formed as Fractions.  The reduced row echelon form of a
-matrix is unique, so the result does not depend on the pivot order.
+``rref`` keeps each row as a ``{column: int}`` map of its nonzeros, scaled
+to a primitive integer row (denominators cleared, content divided out,
+first nonzero entry positive), and drops zero and duplicate rows.  Integer
+rows skip the denominator step.  Gauss-Jordan elimination then runs on
+integers, column by column: the pivot is the row with the fewest nonzeros,
+then the smallest entry in that column, the rule of Markowitz (1957,
+Management Sci. 3, 255-269) restricted to a fixed column order, which keeps
+the rows sparse.  A row is updated by a cross-multiplication with the pivot
+row and divided by its content again, which keeps the entries as small as
+the row space allows (the fraction-free idea of Bareiss 1968, Math. Comp.
+22, 565-578).  Only the nonzeros of the final reduced rows are formed as
+Fractions.  The reduced row echelon form of a matrix is unique, so the
+result does not depend on the pivot order.
 
 Small systems only: the callers decompose their operators into invariant
 blocks first, so matrices here stay well under a few hundred columns.
@@ -17,21 +22,26 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Row = List[Fraction]
 
 
-def _primitive(row: Sequence[Fraction | int]) -> Optional[Tuple[int, ...]]:
-    """The primitive integer multiple of a rational row, or None if it is zero."""
-    den = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (den // x.denominator) for x in row]
-    g = gcd(*ints)
-    if g == 0:
+def _primitive(row: Sequence[Fraction | int]) -> Optional[Dict[int, int]]:
+    """The primitive integer multiple of a rational row as its nonzeros
+    ``{column: entry}``, or None if it is zero."""
+    nz = {c: x for c, x in enumerate(row) if x}
+    if not nz:
         return None
-    if next(x for x in ints if x) < 0:
+    try:
+        g = gcd(*nz.values())  # a TypeError unless every entry is an int
+    except TypeError:
+        den = lcm(*(x.denominator for x in nz.values()))
+        nz = {c: x.numerator * (den // x.denominator) for c, x in nz.items()}
+        g = gcd(*nz.values())
+    if next(iter(nz.values())) < 0:
         g = -g
-    return tuple(x // g for x in ints)
+    return nz if g == 1 else {c: x // g for c, x in nz.items()}
 
 
 def rref(rows: List[Row]) -> Tuple[List[Row], List[int]]:
@@ -42,40 +52,49 @@ def rref(rows: List[Row]) -> Tuple[List[Row], List[int]]:
     if not rows:
         return [], []
     ncols = len(rows[0])
-    work: List[List[int]] = []
-    seen = set()
-    for r in rows:
-        v = _primitive(r)
-        if v is not None and v not in seen:
-            seen.add(v)
-            work.append(list(v))
+    primitive = (_primitive(r) for r in rows)
+    work = list({tuple(v.items()): v for v in primitive if v is not None}.values())
     pivots: List[int] = []
+    done: List[Dict[int, int]] = []
     for c in range(ncols):
-        r = len(pivots)
-        if r == len(work):
+        if not work:
             break
-        piv = min(
-            (i for i in range(r, len(work)) if work[i][c]),
-            key=lambda i: abs(work[i][c]),
-            default=None,
-        )
-        if piv is None:
+        hits = [row for row in work if c in row]
+        if not hits:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
+        prow = min(hits, key=lambda row: (len(row), abs(row[c])))
         a = prow[c]
-        for i, row in enumerate(work):
+        for row in done + hits:
+            if row is prow or c not in row:
+                continue
             b = row[c]
-            if i != r and b:
-                g = gcd(a, b)
-                row = [a // g * x - b // g * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                work[i] = [x // g for x in row] if g > 1 else row
-        # rows below the pivot row that are now zero were dependent
-        work = work[: r + 1] + [row for row in work[r + 1 :] if any(row)]
+            g = gcd(a, b)
+            a_g, b_g = a // g, b // g
+            if a_g != 1:
+                for k in row:
+                    row[k] *= a_g
+            for k, y in prow.items():
+                x = row.get(k, 0) - b_g * y
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+            g = gcd(*row.values())
+            if g > 1:
+                for k in row:
+                    row[k] //= g
+        # rows that are now zero were dependent
+        work = [row for row in work if row and row is not prow]
+        done.append(prow)
         pivots.append(c)
-    red = [[Fraction(x, work[r][c]) for x in work[r]] for r, c in enumerate(pivots)]
-    red += [[Fraction(0)] * ncols for _ in range(len(rows) - len(pivots))]
+    zero = Fraction(0)
+    red = []
+    for c, row in zip(pivots, done):
+        out = [zero] * ncols
+        for k, x in row.items():
+            out[k] = Fraction(x, row[c])
+        red.append(out)
+    red += [[zero] * ncols for _ in range(len(rows) - len(pivots))]
     return red, pivots
 
 

@@ -678,18 +678,21 @@ def _normalization_spaces(p: int, q: int, k: int, detected: Tuple[Mat4, ...]):
     solves with a zero change (idempotence)."""
     a = ResonanceSpec(p, q).linear_matrix()
     a_t = a.transpose()
+    zero = Fraction(0)
     blocks_data = []
     for block in _blocks(k):
         basis = block.basis()
-        nb = len(basis)
-        la_rows = _homological_block(block, a)
+        la_nonzeros = [
+            [(c, x) for c, x in enumerate(row) if x]
+            for row in _homological_block(block, a)
+        ]
         equi_basis = _kernel(block, [], detected, +1)
         kern_basis = _kernel(block, _homological_block(block, a_t), detected, -1)
         cols = kern_basis + [
-            [sum(la_rows[r][c] * v[c] for c in range(nb)) for r in range(nb)]
+            [sum((x * v[c] for c, x in nz), zero) for nz in la_nonzeros]
             for v in equi_basis
         ]
-        rows = [[col[r] for col in cols] for r in range(nb)]
+        rows = [[col[r] for col in cols] for r in range(len(basis))]
         blocks_data.append((basis, equi_basis, len(kern_basis), rows))
     return blocks_data
 

@@ -87,8 +87,16 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, ZERO) + c
-        return Poly(out)
+            if e in out:
+                c = out[e] + c
+                if c.is_zero():
+                    del out[e]
+                    continue
+            out[e] = c
+        # both sides hold nonzero AlgScalars; only cancellations are dropped
+        total = Poly()
+        total.terms = out
+        return total
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)

@@ -155,6 +155,12 @@ GOLDEN = [
         0,
         "4363b6687e6d4af78dcb013f5e91cb61b2d432a2235f80c2ad3b11b0243b7c37",
     ),
+    # elimination on blocks of up to 112 columns
+    (
+        ("oracle", "--p", "3", "--q", "7", "--group", "4", "--degree", "13", "--json"),
+        0,
+        "f317d672c1dedae3fbf0b98a3e3f56e8062418b02105724216cae9e20fc546f6",
+    ),
 ]
 
 # (demo script, exit code, sha256 of stdout)

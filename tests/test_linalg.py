@@ -110,6 +110,50 @@ def test_solve_matches_reference(rows, data):
         assert all(sum(a * b for a, b in zip(r, x)) == c for r, c in zip(rows, rhs))
 
 
+@st.composite
+def sparse_systems(draw):
+    """Integer rows with one to three nonzeros, as the oracle's blocks have,
+    with duplicate, negated and zero rows, and some rows written with
+    Fractions among their ints; plus a right-hand side."""
+    ncols = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        row = [0] * ncols
+        for c in draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=3)):
+            row[c] = draw(st.integers(-6, 6).filter(bool))
+        rows.append(row)
+    for kind in draw(st.lists(st.sampled_from(["duplicate", "negated", "zero", "mixed"]),
+                              max_size=5)):
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+        elif kind == "negated":
+            rows.insert(draw(st.integers(0, len(rows))), [-x for x in rows[i]])
+        elif kind == "zero":
+            rows.insert(i, [0] * ncols)
+        else:
+            rows[i] = [Fraction(x, draw(st.integers(1, 4))) if draw(st.booleans()) else x
+                       for x in rows[i]]
+    rhs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    return rows, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems())
+def test_sparse_rows_match_reference(system):
+    rows, rhs = system
+    ncols = len(rows[0])
+    red, pivots = linalg.rref(rows)
+    assert (red, pivots) == reference_rref(rows)
+    basis = linalg.nullspace(rows)
+    assert basis == reference_nullspace(rows, ncols)
+    x = linalg.solve(rows, rhs)
+    assert x == reference_solve(rows, rhs)
+    for out in red + basis + ([x] if x is not None else []):
+        assert len(out) == ncols
+        assert all(type(v) is Fraction for v in out)
+
+
 def test_empty_and_inconsistent_inputs():
     assert linalg.rref([]) == ([], [])
     assert linalg.nullspace([]) == []

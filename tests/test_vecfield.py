@@ -71,6 +71,22 @@ def test_cancelled_product_terms_are_dropped():
         assert p.terms == {(2, 0, 0, 0): AlgScalar(1), (0, 2, 0, 0): AlgScalar(-1)}
 
 
+@given(polys, polys)
+def test_sum_matches_hand_summed_coefficients_and_keeps_no_zero(a, b):
+    for left, right in ((a, b), (a, -a), (a + b, -b)):
+        total = left + right
+        keys = set(left.terms) | set(right.terms)
+        assert total == Poly({e: left.coefficient(e) + right.coefficient(e) for e in keys})
+        assert all(type(c) is AlgScalar and not c.is_zero() for c in total.terms.values())
+
+
+def test_cancelled_sum_terms_are_dropped():
+    x1, x2 = Poly.variable(0), Poly.variable(1)
+    total = (x1 + x2) + (-x1)
+    assert (1, 0, 0, 0) not in total.terms
+    assert total.terms == {(0, 1, 0, 0): AlgScalar(1)}
+
+
 def test_parse_round_trip():
     text = "-1*x2 + 3/2*x2*y1^2 - 2*x1^3"
     p = parse_poly(text)
